@@ -27,7 +27,9 @@ class _DirectConsumer(Consumer):
     def accept(self, headers, body):
         # a fresh exchange: each route keeps its own identity and trace
         exchange = self.ctx.new_exchange(body=body, headers=headers)
-        self.ctx.emit(exchange)
+        if not self.ctx.emit(exchange):
+            # the sending route dead-letters it instead of losing it silently
+            raise DirectNoConsumerError(f"direct:{self.name} is shutting down")
 
 
 class _DirectProducer(Producer):

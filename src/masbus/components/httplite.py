@@ -19,10 +19,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import BusError
-from ..terms import Number, String, render_term
+from ..terms import Number, String, payload_to_term, render_term
 from ..uris import format_uri
 from .base import Component, Consumer, Producer
-from .mqttlite import payload_to_term
 
 logger = logging.getLogger(__name__)
 

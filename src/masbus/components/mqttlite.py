@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import threading
 
-from ..errors import TermSyntaxError
-from ..terms import String, parse_term, render_term
+from ..terms import payload_to_term, render_term
 from .base import Component, Consumer, Producer, require_param
-
-
-def payload_to_term(payload: str):
-    try:
-        return parse_term(payload)
-    except TermSyntaxError:
-        return String(payload)
 
 
 class Broker:

@@ -14,10 +14,9 @@ import socket
 import threading
 
 from ..errors import BusError
-from ..terms import render_term
+from ..terms import payload_to_term, render_term
 from ..uris import format_uri
 from .base import Component, Consumer, Producer
-from .mqttlite import payload_to_term
 
 logger = logging.getLogger(__name__)
 

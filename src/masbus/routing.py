@@ -11,10 +11,12 @@ Delivery guarantees:
 * per-route FIFO: exchanges admitted by a route's consumer are processed in
   creation order by a single worker;
 * failures never crash a route: a failing transform or producer diverts the
-  exchange to the bus dead-letter log and the route keeps running.
+  exchange to the bus dead-letter log and the route keeps running;
+* ``stop`` is bounded: exchanges not finished by its drain deadline are
+  recorded as dropped, and a dropped exchange gets no delivery record after.
 
-Administrative calls (``add_route``/``start``/``stop``/``register_*``) are
-mutually exclusive with exchange processing; distinct routes process
+``add_route`` and ``start`` are mutually exclusive with exchange processing;
+``stop`` drains while processing goes on. Distinct routes process
 concurrently.
 """
 
@@ -23,9 +25,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from queue import Queue
 
 from .clock import WallClock
 from .errors import (
@@ -43,8 +45,6 @@ from .terms import Term, render_term
 from .uris import EndpointUri, as_uri, format_uri
 
 logger = logging.getLogger(__name__)
-
-_SENTINEL = object()
 
 
 @dataclass
@@ -177,15 +177,15 @@ class RouteContext:
     the route; producers mostly need ``route_id`` and ``bus``.
     """
 
-    def __init__(self, bus: "Bus", route_id: str, uri: EndpointUri, runtime=None):
-        self.bus = bus
-        self.route_id = route_id
+    def __init__(self, runtime: "_RouteRuntime", uri: EndpointUri):
+        self.bus = runtime.bus
+        self.route_id = runtime.route_id
         self.uri = uri
         self._runtime = runtime
 
     def new_exchange(self, body: Term, headers: dict[str, Term] | None = None) -> Exchange:
         ex = self.bus.new_exchange(body=body, headers=headers)
-        ex.trace.append(format_uri(self._runtime.definition.from_uri))
+        ex.trace.append(self._runtime.from_endpoint)
         return ex
 
     def emit(self, exchange: Exchange) -> bool:
@@ -194,56 +194,49 @@ class RouteContext:
 
 
 class _RouteRuntime:
+    """One route's consumer, processors, producers and worker thread.
+
+    One condition guards everything the route knows about its exchanges: the
+    deque of admitted exchanges, ``_current`` (the exchange the worker took),
+    the admission count and whether the consumer is still accepting.
+    """
+
     def __init__(self, bus: "Bus", definition: RouteDefinition):
         self.bus = bus
         self.definition = definition
         self.route_id = definition.route_id
-        self._queue: Queue = Queue()
+        self.from_endpoint = format_uri(definition.from_uri)
         self._cond = threading.Condition()
-        self._pending = 0
-        self._in_flight: dict[str, Exchange] = {}
+        self._queue: deque[Exchange] = deque()
+        self._current: Exchange | None = None
+        self.admitted = 0
         self._accepting = False
-        self._abort = False
         self.consumer = None
-        self.producers: list = []
+        self.producers: list[tuple[str, object]] = []
         self._transforms: dict[str, object] = {}
         self._thread: threading.Thread | None = None
-        self.running = False
 
     def start(self):
-        self._abort = False
-        self._queue = Queue()
         try:
             for spec in self.definition.processors:
                 if isinstance(spec, Transform):
                     self._transforms[spec.name] = self.bus.transform(spec.name)
             for uri in self.definition.to_uris:
                 component = self.bus.component_for(uri.scheme)
-                ctx = RouteContext(self.bus, self.route_id, uri, self)
-                self.producers.append(component.create_producer(ctx))
+                producer = component.create_producer(RouteContext(self, uri))
+                self.producers.append((format_uri(uri), producer))
             from_uri = self.definition.from_uri
             component = self.bus.component_for(from_uri.scheme)
-            ctx = RouteContext(self.bus, self.route_id, from_uri, self)
-            self.consumer = component.create_consumer(ctx)
-        except Exception:
-            self._stop_producers()
-            self.consumer = None
-            raise
-        self._accepting = True
-        self._thread = threading.Thread(
-            target=self._work, name=f"route-{self.route_id}", daemon=True
-        )
-        self._thread.start()
-        try:
+            self.consumer = component.create_consumer(RouteContext(self, from_uri))
+            self._accepting = True
+            self._thread = threading.Thread(
+                target=self._work, name=f"route-{self.route_id}", daemon=True
+            )
+            self._thread.start()
             self.consumer.start()
         except Exception:
-            self._accepting = False
-            self._queue.put(_SENTINEL)
-            self._thread.join(timeout=1.0)
-            self._stop_producers()
-            self.consumer = None
+            self.shutdown(time.monotonic())
             raise
-        self.running = True
         logger.debug("route %s started", self.route_id)
 
     def deactivate(self):
@@ -253,38 +246,42 @@ class _RouteRuntime:
                 self.consumer.stop()
             except Exception:
                 logger.exception("consumer stop failed on route %s", self.route_id)
-        self._accepting = False
+        with self._cond:
+            self._accepting = False
+
+    def idle(self) -> bool:
+        """Nothing admitted is left to process; call with ``_cond`` held."""
+        return not self._queue and self._current is None
 
     def drain(self, deadline: float) -> bool:
         # deadline is wall time: draining bounds real waiting even when the
         # bus runs on a simulated clock
         with self._cond:
-            while self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(min(remaining, 0.05))
-        return True
+            return self._cond.wait_for(self.idle, deadline - time.monotonic())
 
-    def shutdown(self, *, abort: bool):
-        self._abort = abort
-        self._queue.put(_SENTINEL)
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-        if abort:
-            # anything still in flight (a worker stuck past the join bound)
-            with self._cond:
-                for ex in self._in_flight.values():
-                    self.bus._record_dropped(self.route_id, ex)
-                self._in_flight.clear()
-                self._pending = 0
+    def shutdown(self, deadline: float):
+        """Detach the worker; whatever it has not finished by ``deadline`` is dropped."""
+        with self._cond:
+            self._accepting = False
+            for exchange in self._queue:
+                self.bus._record_dropped(self.route_id, exchange)
+            self._queue.clear()
+            thread, self._thread = self._thread, None
+            self._cond.notify_all()
+        if thread is not None:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        with self._cond:
+            # the worker is stuck past the deadline: once its exchange is
+            # recorded as dropped, the worker records nothing more for it
+            if self._current is not None:
+                self.bus._record_dropped(self.route_id, self._current)
+                self._current = None
         self._stop_producers()
         self.consumer = None
-        self.running = False
         logger.debug("route %s stopped", self.route_id)
 
     def _stop_producers(self):
-        for producer in self.producers:
+        for _, producer in self.producers:
             try:
                 producer.stop()
             except Exception:
@@ -292,40 +289,47 @@ class _RouteRuntime:
         self.producers = []
 
     def emit(self, exchange: Exchange) -> bool:
-        if not self._accepting:
-            return False
         with self._cond:
-            self._pending += 1
-            self._in_flight[exchange.id] = exchange
-        self._queue.put(exchange)
+            if not self._accepting:
+                return False
+            if not self._queue:
+                self._cond.notify_all()
+            self._queue.append(exchange)
+            self.admitted += 1
         return True
 
-    def idle(self) -> bool:
-        with self._cond:
-            return self._pending == 0
-
     def _work(self):
+        me = threading.current_thread()
+        taken = None
         while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                return
-            if self._abort:
-                self.bus._record_dropped(self.route_id, item)
-                self._finish(item)
-                continue
+            with self._cond:
+                # otherwise shutdown dropped ``taken`` and detached this worker
+                if self._current is taken:
+                    self._current = None
+                    if not self._queue:
+                        self._cond.notify_all()
+                while not self._queue and self._thread is me:
+                    self._cond.wait()
+                if self._thread is not me:
+                    return
+                taken = self._current = self._queue.popleft()
             try:
                 with self.bus._rw.read():
-                    self._process(item)
-            finally:
-                self._finish(item)
+                    self._process(taken)
+            except Exception:
+                logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
 
-    def _finish(self, exchange: Exchange):
+    def _record(self, taken: Exchange, record, *args) -> bool:
+        """Call ``record(route_id, *args)`` unless shutdown has dropped ``taken``."""
         with self._cond:
-            self._in_flight.pop(exchange.id, None)
-            self._pending -= 1
-            self._cond.notify_all()
+            if self._current is not taken:
+                return False
+            record(self.route_id, *args)
+            return True
 
-    def _process(self, exchange: Exchange):
+    def _process(self, taken: Exchange):
+        exchange = taken
+        dead_letter = self.bus._record_dead_letter
         for spec in self.definition.processors:
             try:
                 if isinstance(spec, SetHeader):
@@ -335,21 +339,19 @@ class _RouteRuntime:
                     if result is not None:
                         exchange = result
             except Exception as err:
-                self.bus._record_dead_letter(
-                    self.route_id, "transform", None, err, exchange
-                )
+                self._record(taken, dead_letter, "transform", None, err, exchange)
                 return
-        for producer in self.producers:
-            endpoint = format_uri(producer.uri)
+        for endpoint, producer in self.producers:
             try:
                 producer.send(exchange)
             except Exception as err:
-                self.bus._record_dead_letter(
-                    self.route_id, "producer", endpoint, err, exchange
-                )
+                if not self._record(taken, dead_letter, "producer", endpoint, err, exchange):
+                    return
                 continue
             exchange.trace.append(endpoint)
-            self.bus._record_delivery(exchange, self.route_id, endpoint)
+            if not self._record(taken, self.bus._record_delivery, exchange, endpoint):
+                return
+            self.bus._notify_delivery(exchange, self.route_id, endpoint)
 
 
 class Bus:
@@ -448,9 +450,6 @@ class Bus:
                 self.component_for(uri.scheme)
             runtime = _RouteRuntime(self, definition)
             if self._running:
-                for spec in definition.processors:
-                    if isinstance(spec, Transform):
-                        self.transform(spec.name)
                 with self._rw.write():
                     runtime.start()
             self._routes[route_id] = runtime
@@ -475,26 +474,20 @@ class Bus:
         except KeyError:
             raise UnknownRouteError(f"no route {route_id!r}") from None
 
-    def route_ids(self) -> tuple[str, ...]:
-        with self._admin:
-            return tuple(self._routes)
-
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
         with self._admin:
             if self._running:
                 raise AlreadyRunningError("bus already running")
-            started = []
             with self._rw.write():
                 try:
                     for runtime in self._routes.values():
                         runtime.start()
-                        started.append(runtime)
                 except Exception:
-                    for runtime in started:
+                    for runtime in self._routes.values():
                         runtime.deactivate()
-                        runtime.shutdown(abort=True)
+                        runtime.shutdown(time.monotonic())
                     raise
             self._running = True
             logger.info("bus %s started with %d routes", self.run_id, len(self._routes))
@@ -504,15 +497,16 @@ class Bus:
         with self._admin:
             if not self._running:
                 raise AlreadyStoppedError("bus is not running")
-            with self._rw.write():
-                for runtime in self._routes.values():
-                    runtime.deactivate()
+            # no writer lock here: a producer stuck past the deadline must
+            # not hold stop() up
+            for runtime in self._routes.values():
+                runtime.deactivate()
             deadline = time.monotonic() + timeout
-            drained = [runtime.drain(deadline) for runtime in self._routes.values()]
-            for runtime, ok in zip(self._routes.values(), drained):
-                runtime.shutdown(abort=not ok)
+            drained = all(runtime.drain(deadline) for runtime in self._routes.values())
+            for runtime in self._routes.values():
+                runtime.shutdown(deadline)
             self._running = False
-            logger.info("bus %s stopped (drained=%s)", self.run_id, all(drained))
+            logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
 
     # -- exchanges -------------------------------------------------------
 
@@ -537,23 +531,26 @@ class Bus:
             runtime = self._routes[route_id]
         except KeyError:
             raise UnknownRouteError(f"no route {route_id!r}") from None
-        if not runtime.running:
-            raise RouteNotRunningError(f"route {route_id!r} is not running")
         if not exchange.trace:
-            exchange.trace.append(format_uri(runtime.definition.from_uri))
+            exchange.trace.append(runtime.from_endpoint)
         if not runtime.emit(exchange):
-            raise RouteNotRunningError(f"route {route_id!r} is shutting down")
+            raise RouteNotRunningError(f"route {route_id!r} is not running")
 
     def wait_until_idle(self, timeout: float = 5.0) -> bool:
         """Block until no route has queued or in-process exchanges."""
         deadline = time.monotonic() + timeout
-        pause = threading.Event()
+        seen = None
         while True:
-            if all(rt.idle() for rt in self._routes.values()):
-                return True
-            if time.monotonic() >= deadline:
+            routes = list(self._routes.values())
+            if not all(rt.drain(deadline) for rt in routes):
                 return False
-            pause.wait(0.002)
+            # A drained route can be fed again by a route drained after it
+            # (a direct hop). Two passes with no admission in between show
+            # every route idle at one moment, after which none can be fed.
+            admitted = [rt.admitted for rt in routes]
+            if admitted == seen:
+                return True
+            seen = admitted
 
     # -- observability ----------------------------------------------------
 
@@ -600,10 +597,12 @@ class Bus:
                 ],
             }
 
-    def _record_delivery(self, exchange: Exchange, route_id: str, endpoint: str):
+    def _record_delivery(self, route_id: str, exchange: Exchange, endpoint: str):
         record = DeliveryRecord(exchange.id, route_id, endpoint, self.clock.now())
         with self._log_lock:
             self._deliveries.append(record)
+
+    def _notify_delivery(self, exchange: Exchange, route_id: str, endpoint: str):
         for fn in self._delivery_listeners:
             try:
                 fn(exchange, route_id, endpoint)

@@ -43,6 +43,7 @@ from .environment import (
     ArtifactTemplate,
     Environment,
     OpResult,
+    OutboundPayload,
     PropertyChanged,
     SignalPercept,
     tracker_template,
@@ -284,7 +285,7 @@ def _plc_template() -> ArtifactTemplate:
 def _erp_template() -> ArtifactTemplate:
     def checkout(ctx, params):
         body = structure("checkout", params) if params else Atom("checkout")
-        return OpResult(outbound=[_outbound(body)])
+        return OpResult(outbound=[OutboundPayload.of(body)])
 
     def confirm(ctx, params):
         status = params[0] if params else Atom("ok")
@@ -295,18 +296,12 @@ def _erp_template() -> ArtifactTemplate:
 
 def _quotes_template() -> ArtifactTemplate:
     def fetch(ctx, params):
-        return OpResult(outbound=[_outbound(Atom("quotes"))])
+        return OpResult(outbound=[OutboundPayload.of(Atom("quotes"))])
 
     def loaded(ctx, params):
         return OpResult(property_updates={"quoteList": ListTerm(tuple(params))})
 
     return ArtifactTemplate(operations={"fetch": fetch, "loaded": loaded})
-
-
-def _outbound(body):
-    from .environment import OutboundPayload
-
-    return OutboundPayload.of(body)
 
 
 # -- agent behaviors -------------------------------------------------------------

@@ -211,6 +211,14 @@ def parse_term(text: str) -> Term:
     return _Parser(text).parse()
 
 
+def payload_to_term(payload: str) -> Term:
+    """Parse text arriving from outside; text that is not a term stays a string term."""
+    try:
+        return parse_term(payload)
+    except TermSyntaxError:
+        return String(payload)
+
+
 def render_term(term: Term) -> str:
     """Render a term in canonical minimal form (inverse of :func:`parse_term`)."""
     if isinstance(term, Atom):
@@ -255,10 +263,7 @@ def coerce_term(value) -> Term:
     if isinstance(value, (int, float)):
         return Number(value)
     if isinstance(value, str):
-        try:
-            return parse_term(value)
-        except TermSyntaxError:
-            return String(value)
+        return payload_to_term(value)
     if isinstance(value, (list, tuple)):
         return ListTerm(tuple(coerce_term(v) for v in value))
     raise TypeError(f"cannot represent {type(value).__name__} as a term")

@@ -31,9 +31,6 @@ class EndpointUri:
         if not _SCHEME_RE.match(self.scheme):
             raise MissingSchemeError(f"invalid scheme {self.scheme!r}")
 
-    def param(self, key: str, default: str | None = None) -> str | None:
-        return self.params.get(key, default)
-
     def __str__(self) -> str:
         return format_uri(self)
 

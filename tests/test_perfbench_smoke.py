@@ -1,0 +1,18 @@
+"""The benchmark runs end to end and its output checks pass on a short run."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_direct_fanin_benchmark_runs_clean():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "direct_fanin",
+         "--seed", "1", "--seconds", "0.2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
