@@ -4,12 +4,19 @@ A component is registered on the bus under a scheme. When a route starts,
 the bus asks the ``from`` component for a consumer and each ``to`` component
 for a producer, passing a :class:`~masbus.routing.RouteContext` that carries
 the endpoint URI and, for consumers, the exchange-admission hooks.
+Listening consumers serve their socket through :class:`Listener`.
 """
 
 from __future__ import annotations
 
+import logging
+import socket
+import threading
+
 from ..errors import ConsumerUnsupportedError, MissingParamError, ProducerUnsupportedError
 from ..uris import EndpointUri, format_uri
+
+logger = logging.getLogger(__name__)
 
 
 class Consumer:
@@ -38,6 +45,57 @@ class Producer:
 
     def stop(self) -> None:
         pass
+
+
+class Listener:
+    """A listening TCP socket whose connections are served in daemon threads.
+
+    The thread named ``name`` blocks in ``accept()`` with no timeout and
+    starts one thread per connection, which runs ``handle(conn, address)``
+    and then closes ``conn``. :meth:`close` sets the stop flag, wakes the
+    blocked ``accept()`` by shutting the listening socket down, joins the
+    accept thread and only then closes the socket, so once it returns no
+    accept thread is left and the port can be bound again. Connections
+    already accepted are not cut; their handlers run until the peer closes.
+    """
+
+    def __init__(self, address: tuple[str, int], handle, name: str):
+        self._sock = socket.create_server(address)
+        self.address: tuple[str, int] = self._sock.getsockname()[:2]
+        self._handle = handle
+        self._stopping = False
+        self._thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
+        self._thread.start()
+
+    def _accept_loop(self):
+        name = self._thread.name
+        while True:
+            try:
+                conn, address = self._sock.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                logger.exception("%s: accept failed", name)
+                continue
+            threading.Thread(
+                target=self._serve, args=(conn, address), name=f"{name}-conn", daemon=True
+            ).start()
+
+    def _serve(self, conn: socket.socket, address):
+        with conn:
+            try:
+                self._handle(conn, address)
+            except Exception:
+                logger.exception("%s: connection from %s failed", self._thread.name, address)
+
+    def close(self) -> None:
+        self._stopping = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # closed before
+        self._thread.join()
+        self._sock.close()
 
 
 class Component:

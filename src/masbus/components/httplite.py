@@ -7,21 +7,22 @@ exchange and injected into that route; otherwise the response is discarded.
 
 As consumer the endpoint runs a listener: every incoming request becomes an
 exchange (headers ``HttpMethod`` and ``HttpPath``, parsed body) and is
-answered with an empty 200. Port 0 binds a free port, exposed as
-``address``.
+answered with an empty 200, or 503 once the route no longer admits
+exchanges. A ``Content-Length`` that is not a non-negative integer, or a
+body that is not UTF-8, is answered 400. Port 0 binds a free port, exposed
+as ``address``.
 """
 
 from __future__ import annotations
 
 import http.client
 import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 from ..errors import BusError
 from ..terms import Number, String, payload_to_term, render_term
 from ..uris import format_uri
-from .base import Component, Consumer, Producer
+from .base import Component, Consumer, Listener, Producer
 
 logger = logging.getLogger(__name__)
 
@@ -34,48 +35,69 @@ def _split_location(uri) -> tuple[str, int, str]:
     return host, int(port), "/" + path if slash else "/"
 
 
+def _read_text(request: BaseHTTPRequestHandler) -> str | None:
+    """The request body as text; None when Content-Length or the UTF-8 is bad."""
+    length = request.headers.get("Content-Length") or "0"
+    if not (length.isascii() and length.isdigit()):
+        return None
+    try:
+        return request.rfile.read(int(length)).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def serve_http(address: tuple[str, int], respond, name: str) -> Listener:
+    """Serve HTTP/1.1 GET and POST on ``address`` until the listener is closed.
+
+    ``respond(method, path, text)`` returns ``(status, body text)``. A request
+    whose body cannot be read is answered 400 without calling ``respond``;
+    any status but 200 also closes the connection.
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def _handle(self):
+            text = _read_text(self)
+            status, body = (400, "") if text is None else respond(self.command, self.path, text)
+            payload = body.encode("utf-8")
+            self.send_response(status)
+            if status != 200:
+                self.send_header("Connection", "close")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        do_GET = _handle
+        do_POST = _handle
+
+        def log_message(self, *args):
+            pass
+
+    # a request handler never consults its server, so it gets none
+    return Listener(address, lambda conn, peer: Handler(conn, peer, None), name)
+
+
 class _HttpConsumer(Consumer):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.host, self.port, self.path = _split_location(ctx.uri)
-        self._server: ThreadingHTTPServer | None = None
+        self._listener: Listener | None = None
         self.address: tuple[str, int] | None = None
 
     def start(self):
-        consumer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _handle(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length).decode("utf-8") if length else ""
-                consumer._admit(self.command, self.path, raw)
-                self.send_response(200)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-            do_GET = _handle
-            do_POST = _handle
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer((self.host, self.port), Handler)
-        self.address = self._server.server_address[:2]
-        threading.Thread(
-            target=self._server.serve_forever, name="httplite-serve", daemon=True
-        ).start()
+        self._listener = serve_http((self.host, self.port), self._respond, "httplite-serve")
+        self.address = self._listener.address
 
     def stop(self):
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
-    def _admit(self, method: str, path: str, raw: str):
+    def _respond(self, method: str, path: str, text: str) -> tuple[int, str]:
         headers = {"HttpMethod": String(method), "HttpPath": String(path)}
-        self.ctx.emit(self.ctx.new_exchange(body=payload_to_term(raw), headers=headers))
+        exchange = self.ctx.new_exchange(body=payload_to_term(text), headers=headers)
+        return (200, "") if self.ctx.emit(exchange) else (503, "")
 
 
 class _HttpProducer(Producer):

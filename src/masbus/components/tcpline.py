@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 import socket
-import threading
 
 from ..errors import BusError
 from ..terms import payload_to_term, render_term
 from ..uris import format_uri
-from .base import Component, Consumer, Producer
+from .base import Component, Consumer, Listener, Producer
 
 logger = logging.getLogger(__name__)
 
@@ -32,41 +31,22 @@ class _TcpLineConsumer(Consumer):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.host, self.port = _host_port(ctx.uri)
-        self._server: socket.socket | None = None
+        self._listener: Listener | None = None
         self.address: tuple[str, int] | None = None
         self._stopping = False
 
     def start(self):
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((self.host, self.port))
-        server.listen()
-        self._server = server
-        self.address = server.getsockname()[:2]
-        threading.Thread(target=self._accept_loop, name="tcpline-accept", daemon=True).start()
+        self._listener = Listener((self.host, self.port), self._read_lines, "tcpline-accept")
+        self.address = self._listener.address
 
     def stop(self):
         self._stopping = True
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-            self._server = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
-    def _accept_loop(self):
-        server = self._server
-        while not self._stopping:
-            try:
-                conn, _ = server.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._read_lines, args=(conn,), name="tcpline-read", daemon=True
-            ).start()
-
-    def _read_lines(self, conn: socket.socket):
-        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+    def _read_lines(self, conn: socket.socket, _address):
+        with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
             for line in reader:
                 if self._stopping:
                     return

@@ -33,11 +33,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from xml.sax.saxutils import escape as xml_escape
 
 from .acl import AclMessage, AgentBehavior, AgentRegistry, Delivery, Performative
 from .components import register_builtin_components
+from .components.base import Listener
+from .components.httplite import serve_http
 from .config import RouteBuilder, constant, parse_route_file
 from .environment import (
     ArtifactTemplate,
@@ -233,39 +234,6 @@ def assert_report(report: ScenarioReport, cfg: ScenarioConfig) -> list[str]:
 # -- external entity stubs ---------------------------------------------------
 
 
-class _HttpStub:
-    """Tiny stand-in HTTP service; records requests and serves fixed bodies."""
-
-    def __init__(self, respond):
-        stub = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _handle(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length).decode("utf-8") if length else ""
-                body = respond(self.command, self.path, raw).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            do_GET = _handle
-            do_POST = _handle
-
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.port = self._server.server_address[1]
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
-
-    def close(self):
-        self._server.shutdown()
-        self._server.server_close()
-
-
 def _send_line(address: tuple[str, int], text: str) -> None:
     with socket.create_connection(address, timeout=5.0) as conn:
         conn.sendall(text.encode("utf-8") + b"\n")
@@ -423,8 +391,8 @@ class _Run:
         self.stage_events = {s: threading.Event() for s in STAGES}
         self.supplier_names = {name for name, _ in cfg.supplier_quotes}
         self.give_distance_done = threading.Semaphore(0)
-        self.erp_stub: _HttpStub | None = None
-        self.quotes_stub: _HttpStub | None = None
+        self.erp_stub: Listener | None = None
+        self.quotes_stub: Listener | None = None
         self.bus: Bus | None = None
         self.registry: AgentRegistry | None = None
         self.chat = None
@@ -483,8 +451,8 @@ class _Run:
         registry = AgentRegistry(env, run_id="scenario")
         registry.add_send_listener(self._on_send)
 
-        self.erp_stub = _HttpStub(self._erp_response)
-        self.quotes_stub = _HttpStub(self._quotes_response)
+        self.erp_stub = serve_http(("127.0.0.1", 0), self._erp_response, "erp-stub")
+        self.quotes_stub = serve_http(("127.0.0.1", 0), self._quotes_response, "quotes-stub")
 
         bus = Bus(run_id="scenario")
         components = register_builtin_components(bus, registry, env)
@@ -526,7 +494,7 @@ class _Run:
         bus.add_route(
             RouteBuilder("erp-out")
             .from_("artifact:main?artifactName=erp")
-            .to(f"httplite:127.0.0.1:{self.erp_stub.port}/checkout?method=POST&replyTo=erp-confirm")
+            .to(f"httplite:127.0.0.1:{self.erp_stub.address[1]}/checkout?method=POST&replyTo=erp-confirm")
             .build()
         )
         bus.add_route(
@@ -540,7 +508,7 @@ class _Run:
         bus.add_route(
             RouteBuilder("quotes-out")
             .from_("artifact:main?artifactName=quotes")
-            .to(f"httplite:127.0.0.1:{self.quotes_stub.port}/quotes?method=GET&replyTo=quotes-loaded")
+            .to(f"httplite:127.0.0.1:{self.quotes_stub.address[1]}/quotes?method=GET&replyTo=quotes-loaded")
             .build()
         )
         bus.add_route(
@@ -570,7 +538,7 @@ class _Run:
             "ts": time.monotonic(),
         }
         self._mark("ii")
-        return "ok"
+        return 200, "ok"
 
     def _quotes_response(self, method, path, body):
         quotes = ListTerm(
@@ -579,7 +547,7 @@ class _Run:
                 for name, price in self.cfg.supplier_quotes
             )
         )
-        return render_term(quotes)
+        return 200, render_term(quotes)
 
     # driving ---------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from masbus import (
     RouteDefinition,
     SimulatedClock,
     String,
+    Structure,
     counter_template,
     tracker_template,
 )
@@ -442,6 +443,57 @@ def test_httplite_consumer_maps_requests_to_exchanges(stack):
     assert ex.body == __import__("masbus").parse_term("f(1)")
     assert ex.headers["HttpMethod"] == String("POST")
     assert ex.headers["HttpPath"] == String("/hook")
+
+
+def test_httplite_consumer_answers_503_once_the_route_stopped(stack):
+    import http.client
+
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
+    bus.start()
+    conn = http.client.HTTPConnection(*bus.consumer("in").address, timeout=5.0)
+    conn.request("POST", "/hook", body=b"1")
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 200
+    bus.stop()
+    # the kept-alive connection outlives the listener; its next request is refused
+    conn.request("POST", "/hook", body=b"2")
+    response = conn.getresponse()
+    response.read()
+    assert response.status == 503
+    assert response.getheader("Connection") == "close"
+    conn.close()
+    assert [ex.body for ex in collector.exchanges()] == [Number(1)]
+
+
+@pytest.mark.parametrize(
+    "length, body", [("-5", b""), ("abc", b""), ("1", b"\xff")], ids=["negative", "text", "utf8"]
+)
+def test_httplite_consumer_answers_400_to_unreadable_body(stack, length, body):
+    import http.client
+
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+    with socket.create_connection(address, timeout=5.0) as raw:
+        raw.sendall(
+            f"POST /hook HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+            + body
+        )
+        with raw.makefile("rb") as reader:
+            reply = reader.read()  # the server closes after a 400
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    # the listener serves the next request on a new connection
+    conn = http.client.HTTPConnection(*address, timeout=5.0)
+    conn.request("POST", "/hook", body=b"f(1)")
+    response = conn.getresponse()
+    response.read()
+    conn.close()
+    assert response.status == 200
+    assert wait_for(lambda: collector.exchanges())
+    assert [ex.body for ex in collector.exchanges()] == [Structure("f", (Number(1),))]
 
 
 def test_httplite_producer_posts_and_routes_reply(stack):

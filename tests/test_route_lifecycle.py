@@ -1,7 +1,9 @@
-"""Route worker lifecycle: idleness across hops and the bound on stop()."""
+"""Route lifecycle: idleness across hops, the bound on stop() and released listeners."""
 
 from __future__ import annotations
 
+import http.client
+import socket
 import sys
 import threading
 import time
@@ -9,9 +11,9 @@ import time
 import pytest
 
 from masbus import Bus, Number, RouteDefinition
-from masbus.components import DirectComponent
+from masbus.components import DirectComponent, register_builtin_components
 from masbus.components.base import Component, Producer
-from conftest import CollectorComponent
+from conftest import CollectorComponent, wait_for
 
 CHAIN = (
     RouteDefinition("a", "direct:in", (), ("direct:hop1",)),
@@ -100,3 +102,49 @@ def test_stop_honours_drain_bound_with_stuck_producer():
     dropped = {d.exchange["id"] for d in bus.dropped()}
     assert dropped.isdisjoint(d.exchange_id for d in bus.deliveries())
     bus.stop()
+
+
+def _send_tcp_line(address):
+    with socket.create_connection(address, timeout=5.0) as conn:
+        conn.sendall(b"1\n")
+
+
+def _post_http(address):
+    conn = http.client.HTTPConnection(*address, timeout=5.0)
+    try:
+        conn.request("POST", "/hook", body=b"1")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        conn.close()
+
+
+def _listener_threads() -> set:
+    return {t for t in threading.enumerate() if t.name in ("tcpline-accept", "httplite-serve")}
+
+
+def test_stop_releases_listener_port_and_thread():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    before = _listener_threads()
+    # one fixed port, bound again by each bus right after the previous stop
+    for scheme, path, send in (
+        ("tcpline", "", _send_tcp_line),
+        ("httplite", "/hook", _post_http),
+        ("tcpline", "", _send_tcp_line),
+    ):
+        bus = Bus()
+        collector = CollectorComponent()
+        register_builtin_components(bus)
+        bus.register_component("collect", collector)
+        bus.add_route(
+            RouteDefinition("in", f"{scheme}:127.0.0.1:{port}{path}", (), ("collect:y",))
+        )
+        bus.start()
+        send(bus.consumer("in").address)
+        assert wait_for(lambda: collector.exchanges())
+        bus.stop()
+        assert [ex.body for ex in collector.exchanges()] == [Number(1)]
+        assert _listener_threads() == before, scheme

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from masbus import ScenarioConfig, ScenarioReport, assert_report, run_scenario
 from masbus.errors import ScenarioConfigError, StageTimeoutError
 from masbus.scenario import STAGES
+from conftest import wait_for
 
 
 def nominal_config(**overrides) -> ScenarioConfig:
@@ -29,6 +33,20 @@ def test_simulated_run_completes_all_stages_in_order():
     assert report.delivery_order_ok
     assert report.dead_letters == []
     assert assert_report(report, cfg) == []
+
+
+def test_simulated_run_is_quick_and_leaves_no_thread():
+    cfg = ScenarioConfig.generate(3)
+    before = set(threading.enumerate())
+    started = time.perf_counter()
+    report = run_scenario(cfg, simulated=True)
+    assert time.perf_counter() - started < 0.2
+    assert assert_report(report, cfg) == []
+    # connection threads end once their peers close, which happens stages
+    # before the run returns; the wait only absorbs scheduling delay
+    assert wait_for(lambda: set(threading.enumerate()) <= before, timeout=1.0), [
+        t.name for t in set(threading.enumerate()) - before
+    ]
 
 
 def test_winner_is_minimum_quote():
