@@ -209,24 +209,9 @@ class AgentRegistry:
         with self._lock:
             self._dummies.pop(name, None)
 
-    def remove_agent(self, name: str) -> None:
-        with self._lock:
-            agent = self._agents.pop(name, None)
-        if agent is not None:
-            agent.stopping = True
-            agent.wake.set()
-
-    def agent_names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._agents)
-
     def dummy_names(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(self._dummies)
-
-    def is_local(self, name: str) -> bool:
-        with self._lock:
-            return name in self._agents
 
     # -- messaging ----------------------------------------------------------
 

@@ -39,7 +39,7 @@ class _DirectProducer(Producer):
         self.name = ctx.uri.path
 
     def send(self, exchange):
-        consumer = self.component._lookup(self.name)
+        consumer = self.component._consumers.get(self.name)
         if consumer is None:
             raise DirectNoConsumerError(f"no consumer bound to direct:{self.name}")
         consumer.accept(dict(exchange.headers), exchange.body)
@@ -68,7 +68,3 @@ class DirectComponent(Component):
         with self._lock:
             if self._consumers.get(name) is consumer:
                 del self._consumers[name]
-
-    def _lookup(self, name):
-        with self._lock:
-            return self._consumers.get(name)

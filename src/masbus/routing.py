@@ -15,9 +15,12 @@ Delivery guarantees:
 * ``stop`` is bounded: exchanges not finished by its drain deadline are
   recorded as dropped, and a dropped exchange gets no delivery record after.
 
-``add_route`` and ``start`` are mutually exclusive with exchange processing;
-``stop`` drains while processing goes on. Distinct routes process
-concurrently.
+``add_route`` and ``start`` are mutually exclusive with exchange processing:
+they close a gate that stops workers taking exchanges and wait out the ones
+taken, so no route of a ``start`` sends before every route is bound. ``stop``
+drains while processing goes on. Distinct routes process concurrently.
+``deliveries()`` keeps the latest ``DELIVERY_LOG_SIZE`` records; the
+``delivered`` count of ``report()`` is exact.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from .terms import Term, render_term
 from .uris import EndpointUri, as_uri, format_uri
 
 logger = logging.getLogger(__name__)
+
+# delivery records kept by a bus; older ones are only counted
+DELIVERY_LOG_SIZE = 10_000
 
 
 @dataclass
@@ -107,7 +113,7 @@ class RouteDefinition:
                 raise TypeError(f"not a processor spec: {p!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     exchange_id: str
     route_id: str
@@ -129,45 +135,6 @@ class DeadLetter:
 class DroppedExchange:
     route_id: str
     exchange: dict
-
-
-class _ReadWriteLock:
-    """Writers (admin) exclude readers (exchange processing) and each other."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self):
-        with self._cond:
-            self._writers_waiting += 1
-            while self._readers or self._writer:
-                self._cond.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
 
 
 class RouteContext:
@@ -197,8 +164,9 @@ class _RouteRuntime:
     """One route's consumer, processors, producers and worker thread.
 
     One condition guards everything the route knows about its exchanges: the
-    deque of admitted exchanges, ``_current`` (the exchange the worker took),
-    the admission count and whether the consumer is still accepting.
+    deque of admitted exchanges, ``_current`` (the exchange the worker took)
+    with its staged delivery records, the admission count and whether the
+    consumer is still accepting.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -209,6 +177,7 @@ class _RouteRuntime:
         self._cond = threading.Condition()
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
+        self._staged: list[DeliveryRecord] = []
         self.admitted = 0
         self._accepting = False
         self.consumer = None
@@ -271,9 +240,11 @@ class _RouteRuntime:
         if thread is not None:
             thread.join(max(0.0, deadline - time.monotonic()))
         with self._cond:
-            # the worker is stuck past the deadline: once its exchange is
-            # recorded as dropped, the worker records nothing more for it
+            # the worker is stuck past the deadline: its deliveries so far
+            # stay recorded, and once its exchange is recorded as dropped
+            # the worker records nothing more for it
             if self._current is not None:
+                self.bus._commit_deliveries(self._staged)
                 self.bus._record_dropped(self.route_id, self._current)
                 self._current = None
         self._stop_producers()
@@ -300,22 +271,27 @@ class _RouteRuntime:
 
     def _work(self):
         me = threading.current_thread()
+        bus = self.bus
         taken = None
+        staged: list[DeliveryRecord] = []
         while True:
             with self._cond:
                 # otherwise shutdown dropped ``taken`` and detached this worker
                 if self._current is taken:
                     self._current = None
-                    if not self._queue:
+                    if staged:
+                        bus._commit_deliveries(staged)
+                    if not (self._queue and bus._open):
                         self._cond.notify_all()
-                while not self._queue and self._thread is me:
+                while not (self._queue and bus._open) and self._thread is me:
                     self._cond.wait()
                 if self._thread is not me:
                     return
                 taken = self._current = self._queue.popleft()
+                # shutdown commits these itself if it drops ``taken``
+                staged = self._staged = []
             try:
-                with self.bus._rw.read():
-                    self._process(taken)
+                self._process(taken, staged)
             except Exception:
                 logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
 
@@ -327,9 +303,10 @@ class _RouteRuntime:
             record(self.route_id, *args)
             return True
 
-    def _process(self, taken: Exchange):
+    def _process(self, taken: Exchange, staged: list[DeliveryRecord]):
         exchange = taken
-        dead_letter = self.bus._record_dead_letter
+        bus = self.bus
+        dead_letter = bus._record_dead_letter
         for spec in self.definition.processors:
             try:
                 if isinstance(spec, SetHeader):
@@ -342,6 +319,9 @@ class _RouteRuntime:
                 self._record(taken, dead_letter, "transform", None, err, exchange)
                 return
         for endpoint, producer in self.producers:
+            # shutdown dropped the exchange: it reaches no later producer
+            if self._current is not taken:
+                return
             try:
                 producer.send(exchange)
             except Exception as err:
@@ -349,9 +329,8 @@ class _RouteRuntime:
                     return
                 continue
             exchange.trace.append(endpoint)
-            if not self._record(taken, self.bus._record_delivery, exchange, endpoint):
-                return
-            self.bus._notify_delivery(exchange, self.route_id, endpoint)
+            staged.append(DeliveryRecord(exchange.id, self.route_id, endpoint, bus.clock.now()))
+            bus._notify_delivery(exchange, self.route_id, endpoint)
 
 
 class Bus:
@@ -378,12 +357,14 @@ class Bus:
         self._transforms: dict[str, object] = {}
         self._routes: dict[str, _RouteRuntime] = {}
         self._admin = threading.RLock()
-        self._rw = _ReadWriteLock()
+        self._open = True  # workers take exchanges only while it is set
         self._running = False
-        self._log_lock = threading.Lock()
+        self._id_lock = threading.Lock()
         self._exchange_counter = 0
+        self._log_lock = threading.Lock()
         self._dead_letters: list[DeadLetter] = []
-        self._deliveries: list[DeliveryRecord] = []
+        self._deliveries: deque[DeliveryRecord] = deque(maxlen=DELIVERY_LOG_SIZE)
+        self._delivered = 0
         self._dropped: list[DroppedExchange] = []
         self._delivery_listeners: list = []
 
@@ -392,10 +373,6 @@ class Bus:
     @property
     def is_running(self) -> bool:
         return self._running
-
-    @property
-    def status(self) -> str:
-        return "running" if self._running else "stopped"
 
     def register_component(self, scheme: str, component) -> None:
         with self._admin:
@@ -450,9 +427,11 @@ class Bus:
                 self.component_for(uri.scheme)
             runtime = _RouteRuntime(self, definition)
             if self._running:
-                with self._rw.write():
+                with self._gate_closed():
                     runtime.start()
-            self._routes[route_id] = runtime
+                    self._routes[route_id] = runtime
+            else:
+                self._routes[route_id] = runtime
             return route_id
 
     def _next_route_id(self) -> str:
@@ -480,7 +459,7 @@ class Bus:
         with self._admin:
             if self._running:
                 raise AlreadyRunningError("bus already running")
-            with self._rw.write():
+            with self._gate_closed():
                 try:
                     for runtime in self._routes.values():
                         runtime.start()
@@ -497,7 +476,7 @@ class Bus:
         with self._admin:
             if not self._running:
                 raise AlreadyStoppedError("bus is not running")
-            # no writer lock here: a producer stuck past the deadline must
+            # the gate stays open: a producer stuck past the deadline must
             # not hold stop() up
             for runtime in self._routes.values():
                 runtime.deactivate()
@@ -508,10 +487,27 @@ class Bus:
             self._running = False
             logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
 
+    @contextmanager
+    def _gate_closed(self):
+        """Exclude exchange processing: no worker holds or takes an exchange."""
+        self._open = False
+        try:
+            for runtime in self._routes.values():
+                with runtime._cond:
+                    runtime._cond.wait_for(lambda: runtime._current is None)
+            yield
+        finally:
+            self._open = True
+            # including a route just added: its consumer may have admitted
+            for runtime in self._routes.values():
+                with runtime._cond:
+                    if runtime._queue:
+                        runtime._cond.notify_all()
+
     # -- exchanges -------------------------------------------------------
 
     def new_exchange(self, body: Term, headers: dict[str, Term] | None = None) -> Exchange:
-        with self._log_lock:
+        with self._id_lock:
             self._exchange_counter += 1
             n = self._exchange_counter
         return Exchange(
@@ -567,6 +563,7 @@ class Bus:
             return tuple(self._dead_letters)
 
     def deliveries(self) -> tuple[DeliveryRecord, ...]:
+        """The latest ``DELIVERY_LOG_SIZE`` delivery records, oldest first."""
         with self._log_lock:
             return tuple(self._deliveries)
 
@@ -578,10 +575,10 @@ class Bus:
         with self._log_lock:
             return {
                 "run_id": self.run_id,
-                "status": self.status,
+                "status": "running" if self._running else "stopped",
                 "routes": sorted(self._routes),
                 "exchanges_created": self._exchange_counter,
-                "delivered": len(self._deliveries),
+                "delivered": self._delivered,
                 "dropped": [
                     {"route_id": d.route_id, "exchange": d.exchange} for d in self._dropped
                 ],
@@ -597,10 +594,10 @@ class Bus:
                 ],
             }
 
-    def _record_delivery(self, route_id: str, exchange: Exchange, endpoint: str):
-        record = DeliveryRecord(exchange.id, route_id, endpoint, self.clock.now())
+    def _commit_deliveries(self, records: list[DeliveryRecord]):
         with self._log_lock:
-            self._deliveries.append(record)
+            self._deliveries.extend(records)
+            self._delivered += len(records)
 
     def _notify_delivery(self, exchange: Exchange, route_id: str, endpoint: str):
         for fn in self._delivery_listeners:

@@ -9,8 +9,9 @@ Grammar (whitespace is allowed between tokens)::
     string    = '"' { character | escape } '"'
     list      = "[" [ term { "," term } ] "]"
 
+Lists and structures nest at most ``MAX_TERM_DEPTH`` levels deep.
 ``render_term`` emits the canonical minimal form (no whitespace) and
-``parse_term(render_term(t)) == t`` holds for every term.
+``parse_term(render_term(t)) == t`` holds for every term within that depth.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _REVERSE_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+# lists and structures nest at most this deep, so hostile input cannot
+# exhaust the stack of the parser or of later recursive rendering
+MAX_TERM_DEPTH = 100
 
 
 class _Parser:
@@ -123,7 +127,9 @@ class _Parser:
             raise self.error("unexpected trailing input")
         return term
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        if depth > MAX_TERM_DEPTH:
+            raise self.error(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
         self.skip_ws()
         ch = self.peek()
         if not ch:
@@ -131,11 +137,11 @@ class _Parser:
         if ch == '"':
             return self.string()
         if ch == "[":
-            return self.list_term()
+            return self.list_term(depth)
         if ch in "+-" or ch.isdigit():
             return self.number()
         if ch.islower():
-            return self.atom_or_structure()
+            return self.atom_or_structure(depth)
         raise self.error(f"unexpected character {ch!r}")
 
     def number(self) -> Number:
@@ -169,22 +175,22 @@ class _Parser:
             else:
                 out.append(ch)
 
-    def list_term(self) -> ListTerm:
+    def list_term(self, depth: int) -> ListTerm:
         self.expect("[")
         self.skip_ws()
         if self.peek() == "]":
             self.pos += 1
             return ListTerm(())
-        items = [self.term()]
+        items = [self.term(depth + 1)]
         self.skip_ws()
         while self.peek() == ",":
             self.pos += 1
-            items.append(self.term())
+            items.append(self.term(depth + 1))
             self.skip_ws()
         self.expect("]")
         return ListTerm(tuple(items))
 
-    def atom_or_structure(self) -> Term:
+    def atom_or_structure(self, depth: int) -> Term:
         m = _ATOM_RE.match(self.text, self.pos)
         if m is None:
             raise self.error("malformed atom")
@@ -194,11 +200,11 @@ class _Parser:
         if self.peek() != "(":
             return Atom(name)
         self.pos += 1
-        args = [self.term()]
+        args = [self.term(depth + 1)]
         self.skip_ws()
         while self.peek() == ",":
             self.pos += 1
-            args.append(self.term())
+            args.append(self.term(depth + 1))
             self.skip_ws()
         self.expect(")")
         return Structure(name, tuple(args))

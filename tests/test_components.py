@@ -392,6 +392,18 @@ def test_tcpline_multiple_lines_one_connection(stack):
     assert [ex.body for ex in collector.exchanges()] == [Number(1), Number(2), Number(3)]
 
 
+def test_tcpline_deeply_nested_line_is_admitted_as_text(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    deep = "[" * 5000
+    with socket.create_connection(bus.consumer("in").address) as conn:
+        conn.sendall(deep.encode() + b"\n1\n")
+    # the connection survives the hostile line and admits the next one
+    assert wait_for(lambda: len(collector.exchanges()) == 2)
+    assert [ex.body for ex in collector.exchanges()] == [String(deep), Number(1)]
+
+
 def test_tcpline_producer_connection_refused_dead_letters(stack):
     bus, _, _, _, _ = stack
     with socket.socket() as probe:
@@ -497,29 +509,16 @@ def test_httplite_consumer_answers_400_to_unreadable_body(stack, length, body):
 
 
 def test_httplite_producer_posts_and_routes_reply(stack):
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-    import threading
+    from masbus.components.httplite import serve_http
 
     received = []
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    def respond(method, path, text):
+        received.append((method, text))
+        return 200, "ok"
 
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length") or 0)
-            received.append(self.rfile.read(length).decode())
-            body = b"ok"
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    port = server.server_address[1]
+    server = serve_http(("127.0.0.1", 0), respond, "checkout-stub")
+    port = server.address[1]
 
     bus, _, _, _, collector = stack
     bus.add_route(
@@ -534,12 +533,11 @@ def test_httplite_producer_posts_and_routes_reply(stack):
     bus.start()
     bus.process_exchange("r", bus.new_exchange(body=Atom("order")))
     assert wait_for(lambda: collector.exchanges())
-    assert received == ["order"]
+    assert received == [("POST", "order")]
     (reply_ex,) = collector.exchanges()
     assert reply_ex.body == Atom("ok")
     assert reply_ex.headers["HttpStatus"] == Number(200)
-    server.shutdown()
-    server.server_close()
+    server.close()
 
 
 def test_httplite_producer_connection_refused_dead_letters(stack):

@@ -1,4 +1,5 @@
-"""Route lifecycle: idleness across hops, the bound on stop() and released listeners."""
+"""Route lifecycle: start order, idleness across hops, the bound on stop(),
+released listeners and the bounded delivery log."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import pytest
 
 from masbus import Bus, Number, RouteDefinition
 from masbus.components import DirectComponent, register_builtin_components
-from masbus.components.base import Component, Producer
+from masbus.components.base import Component, Consumer, Producer
+from masbus.routing import DELIVERY_LOG_SIZE
 from conftest import CollectorComponent, wait_for
 
 CHAIN = (
@@ -40,6 +42,72 @@ def test_wait_until_idle_covers_direct_hops_in_any_order(order):
         assert [ex.body.value for ex in collector.for_route("c")] == list(range(200))
     finally:
         sys.setswitchinterval(interval)
+        bus.stop()
+
+
+def test_start_binds_every_route_before_any_route_sends():
+    bus = Bus()
+    collector = CollectorComponent()
+    register_builtin_components(bus)
+    bus.register_component("collect", collector)
+    # upstream first: route a is started, and its consumer fed, before b binds
+    bus.add_route(
+        RouteDefinition("a", "mqttlite:c?host=h&subscribeTopicName=t", (), ("direct:b",))
+    )
+    bus.add_route(RouteDefinition("b", "direct:b", (), ("collect:sink",)))
+    broker = bus.component_for("mqttlite").broker("h")
+    for _ in range(200):
+        started = threading.Event()
+
+        def publish():
+            while not started.is_set():
+                broker.publish("t", "1")
+                time.sleep(0)  # let start() and the feed interleave
+
+        publisher = threading.Thread(target=publish)
+        publisher.start()
+        try:
+            bus.start()
+        finally:
+            started.set()
+            publisher.join(2.0)
+        assert not publisher.is_alive()
+        assert bus.wait_until_idle()
+        bus.stop()
+    assert bus.dead_letters() == ()
+    assert collector.exchanges()
+
+
+class _EagerConsumer(Consumer):
+    """Admits three exchanges, and one for route ``old``, while it starts."""
+
+    def start(self):
+        for i in range(3):
+            self.ctx.emit(self.ctx.new_exchange(body=Number(i)))
+        self.ctx.bus.process_exchange("old", self.ctx.bus.new_exchange(body=Number(3)))
+        time.sleep(0.05)  # both workers see the exchanges and wait on the gate
+
+
+class _EagerComponent(Component):
+    def create_consumer(self, ctx):
+        return _EagerConsumer(ctx)
+
+
+def test_add_route_wakes_routes_fed_while_it_ran():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("eager", _EagerComponent())
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("old", "direct:old", (), ("collect:a",)))
+    bus.start()
+    try:
+        bus.add_route(RouteDefinition("new", "eager:x", (), ("collect:b",)))
+        # no further emit: reopening the gate has to wake both workers
+        assert bus.wait_until_idle(2.0)
+        assert [ex.body.value for ex in collector.for_route("new")] == [0, 1, 2]
+        assert [ex.body.value for ex in collector.for_route("old")] == [3]
+    finally:
         bus.stop()
 
 
@@ -102,6 +170,52 @@ def test_stop_honours_drain_bound_with_stuck_producer():
     dropped = {d.exchange["id"] for d in bus.dropped()}
     assert dropped.isdisjoint(d.exchange_id for d in bus.deliveries())
     bus.stop()
+
+
+def test_stop_keeps_deliveries_made_before_the_drop():
+    bus = Bus()
+    blocking = _BlockingComponent()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:a", "block:y", "collect:z")))
+    bus.start()
+    stuck = bus.new_exchange(body=Number(1))
+    bus.process_exchange("r", stuck)
+    assert blocking.entered.wait(2.0)
+    worker = next(t for t in threading.enumerate() if t.name == "route-r")
+    bus.stop(drain_timeout=0.1)
+
+    blocking.release.set()
+    assert blocking.returned.wait(2.0)
+    worker.join(2.0)
+    assert not worker.is_alive()
+    # the delivery before the stuck producer stays; none follows the drop
+    assert [(d.exchange_id, d.endpoint) for d in bus.deliveries()] == [(stuck.id, "collect:a")]
+    assert bus.report()["delivered"] == 1
+    assert [d.exchange["id"] for d in bus.dropped()] == [stuck.id]
+    assert [ex.body for ex in collector.exchanges()] == [Number(1)]
+
+
+def test_delivery_log_keeps_the_newest_records_and_an_exact_count():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:y",)))
+    bus.start()
+    try:
+        exchanges = [bus.new_exchange(body=Number(i)) for i in range(12_000)]
+        for exchange in exchanges:
+            bus.process_exchange("r", exchange)
+        assert bus.wait_until_idle(10.0)
+    finally:
+        bus.stop()
+    assert DELIVERY_LOG_SIZE == 10_000
+    newest = [ex.id for ex in exchanges[-DELIVERY_LOG_SIZE:]]
+    assert [d.exchange_id for d in bus.deliveries()] == newest
+    assert bus.report()["delivered"] == len(collector.exchanges()) == 12_000
 
 
 def _send_tcp_line(address):

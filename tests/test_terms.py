@@ -17,6 +17,7 @@ from masbus import (
     term_text,
 )
 from masbus.errors import TermSyntaxError
+from masbus.terms import MAX_TERM_DEPTH, payload_to_term
 from conftest import random_term
 
 
@@ -68,12 +69,21 @@ def test_whitespace_between_tokens():
         ('"abc', 4),
         ("Upper", 0),
         ("1 2", 2),
+        pytest.param("[" * 5000, 101, id="deep-list"),
+        pytest.param("f(" * 5000, 202, id="deep-structure"),
     ],
 )
 def test_syntax_errors_carry_position(bad, pos):
     with pytest.raises(TermSyntaxError) as err:
         parse_term(bad)
     assert err.value.position == pos
+
+
+def test_nesting_limit_keeps_hostile_payloads_as_text():
+    limit = "[" * MAX_TERM_DEPTH + "1" + "]" * MAX_TERM_DEPTH
+    assert render_term(parse_term(limit)) == limit
+    deep = "[" * 5000
+    assert payload_to_term(deep) == String(deep)
 
 
 def test_structure_requires_args():
