@@ -11,10 +11,11 @@ are addressed identically.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .environment import AgentOrigin, Environment, OperationRequest, Percept
@@ -40,7 +41,7 @@ class Performative(str, enum.Enum):
     ASK_ALL = "askAll"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AclMessage:
     sender: str
     receiver: str
@@ -64,23 +65,23 @@ class Delivery(enum.Enum):
 # -- effects -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     message: AclMessage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArtifactOp:
     request: OperationRequest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Focus:
     workspace: str | None
     artifact: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Log:
     entry: Term
 
@@ -166,6 +167,12 @@ class AgentRegistry:
     Local delivery enqueues into the receiver's mailbox; delivery to a dummy
     hands the message to the bound route. Message ids are minted from a
     monotonic counter prefixed with ``run_id``.
+
+    A local agent with a behavior runs on its own thread. A new percept or
+    message wakes it only when it sleeps; each pass it takes every queued
+    percept in one round and every queued message in another, then reacts
+    to them in that order: percepts in ``seq`` order, messages in arrival
+    order.
     """
 
     def __init__(self, environment: Environment | None = None, *, run_id: str = "reg"):
@@ -174,7 +181,7 @@ class AgentRegistry:
         self._lock = threading.RLock()
         self._agents: dict[str, _Agent] = {}
         self._dummies: dict[str, _Dummy] = {}
-        self._msg_counter = 0
+        self._msg_ids = itertools.count(1)  # next() on it is atomic: no lock
         self._send_listeners: list = []
         if environment is not None:
             environment.add_percept_listener(self._on_percept_queued)
@@ -216,23 +223,25 @@ class AgentRegistry:
     # -- messaging ----------------------------------------------------------
 
     def next_msg_id(self) -> str:
-        with self._lock:
-            self._msg_counter += 1
-            return f"{self.run_id}-m{self._msg_counter}"
+        return f"{self.run_id}-m{next(self._msg_ids)}"
 
     def send_message(self, message: AclMessage) -> Delivery:
         """Deliver locally when possible, otherwise through the bound route."""
         if not message.msg_id:
-            message = replace(message, msg_id=self.next_msg_id())
-        with self._lock:
-            agent = self._agents.get(message.receiver)
-            dummy = self._dummies.get(message.receiver)
+            m = message
+            message = AclMessage(
+                m.sender, m.receiver, m.performative, m.content, self.next_msg_id(), m.in_reply_to
+            )
+        # registration writes these dicts under the lock; one get needs none
+        agent = self._agents.get(message.receiver)
         if agent is not None:
             with agent.lock:
                 agent.mailbox.append(message)
-            agent.wake.set()
+            # a set flag is cleared before the agent's next take, which gets this
+            if not agent.wake.is_set():
+                agent.wake.set()
             outcome = Delivery.LOCAL
-        elif dummy is not None:
+        elif (dummy := self._dummies.get(message.receiver)) is not None:
             dummy.deliver(message)
             outcome = Delivery.ROUTED
         else:
@@ -286,29 +295,27 @@ class AgentRegistry:
     # -- behavior execution ---------------------------------------------------
 
     def _on_percept_queued(self, percept: Percept) -> None:
-        with self._lock:
-            agent = self._agents.get(percept.agent)
-        if agent is not None:
+        agent = self._agents.get(percept.agent)
+        if agent is not None and not agent.wake.is_set():
             agent.wake.set()
 
     def _agent_loop(self, agent: _Agent) -> None:
+        on_percept, on_message = agent.behavior.on_percept, agent.behavior.on_message
+        environment = self.environment if on_percept is not None else None
         while not agent.stopping:
             agent.wake.wait()
+            # cleared before taking: a stimulus queued after the take sets it again
             agent.wake.clear()
-            progressed = True
-            while progressed and not agent.stopping:
-                progressed = False
-                if self.environment is not None and agent.behavior.on_percept is not None:
-                    percept = self.environment.poll_percept(agent.name)
-                    if percept is not None:
-                        self._react(agent, agent.behavior.on_percept, percept)
-                        progressed = True
-                if agent.behavior.on_message is not None:
-                    with agent.lock:
-                        message = agent.mailbox.popleft() if agent.mailbox else None
-                    if message is not None:
-                        self._react(agent, agent.behavior.on_message, message)
-                        progressed = True
+            percepts = environment._take_percepts(agent.name) if environment is not None else ()
+            messages = ()
+            if on_message is not None and agent.mailbox:
+                with agent.lock:
+                    messages, agent.mailbox = agent.mailbox, deque()
+            for reaction, stimuli in ((on_percept, percepts), (on_message, messages)):
+                for stimulus in stimuli:
+                    if agent.stopping:
+                        return
+                    self._react(agent, reaction, stimulus)
 
     def _react(self, agent: _Agent, reaction, stimulus) -> None:
         try:

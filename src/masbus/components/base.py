@@ -9,14 +9,18 @@ Listening consumers serve their socket through :class:`Listener`.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import threading
+import time
 
 from ..errors import ConsumerUnsupportedError, MissingParamError, ProducerUnsupportedError
 from ..uris import EndpointUri, format_uri
 
 logger = logging.getLogger(__name__)
+
+CONNECTION_JOIN_S = 1.0  # how long ``Listener.close`` waits for connection threads
 
 
 class Consumer:
@@ -55,8 +59,10 @@ class Listener:
     and then closes ``conn``. :meth:`close` sets the stop flag, wakes the
     blocked ``accept()`` by shutting the listening socket down, joins the
     accept thread and only then closes the socket, so once it returns no
-    accept thread is left and the port can be bound again. Connections
-    already accepted are not cut; their handlers run until the peer closes.
+    accept thread is left and the port can be bound again. It then shuts
+    down the reading side of each open connection, so a handler waiting for
+    input reads end-of-file while one answering can still write, and joins
+    the connection threads for at most ``CONNECTION_JOIN_S`` in all.
     """
 
     def __init__(self, address: tuple[str, int], handle, name: str):
@@ -64,6 +70,8 @@ class Listener:
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._handle = handle
         self._stopping = False
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         self._thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
         self._thread.start()
 
@@ -77,9 +85,12 @@ class Listener:
                     return
                 logger.exception("%s: accept failed", name)
                 continue
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve, args=(conn, address), name=f"{name}-conn", daemon=True
-            ).start()
+            )
+            with self._connections_lock:
+                self._connections[conn] = thread
+            thread.start()
 
     def _serve(self, conn: socket.socket, address):
         with conn:
@@ -87,6 +98,9 @@ class Listener:
                 self._handle(conn, address)
             except Exception:
                 logger.exception("%s: connection from %s failed", self._thread.name, address)
+            finally:
+                with self._connections_lock:
+                    self._connections.pop(conn, None)
 
     def close(self) -> None:
         self._stopping = True
@@ -96,6 +110,15 @@ class Listener:
             pass  # closed before
         self._thread.join()
         self._sock.close()
+        # under the lock: a connection still listed is not closed yet
+        with self._connections_lock:
+            for conn in self._connections:
+                with contextlib.suppress(OSError):  # the peer is gone already
+                    conn.shutdown(socket.SHUT_RD)
+            threads = list(self._connections.values())
+        deadline = time.monotonic() + CONNECTION_JOIN_S
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class Component:

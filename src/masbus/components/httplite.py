@@ -36,12 +36,16 @@ def _split_location(uri) -> tuple[str, int, str]:
 
 
 def _read_text(request: BaseHTTPRequestHandler) -> str | None:
-    """The request body as text; None when Content-Length or the UTF-8 is bad."""
+    """The request body as text; None when Content-Length, the length of
+    the body or its UTF-8 is bad."""
     length = request.headers.get("Content-Length") or "0"
     if not (length.isascii() and length.isdigit()):
         return None
+    data = request.rfile.read(int(length))
+    if len(data) != int(length):
+        return None  # the connection ended before the whole body came
     try:
-        return request.rfile.read(int(length)).decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         return None
 

@@ -18,6 +18,8 @@ from ..acl import AclMessage, AgentRegistry, Performative
 from ..terms import String, Term, term_text
 from .base import Component, Consumer, Producer
 
+_PERFORMATIVE_TERMS = {p: String(p.value) for p in Performative}
+
 
 class _JasonConsumer(Consumer):
     def __init__(self, ctx, registry: AgentRegistry):
@@ -33,7 +35,7 @@ class _JasonConsumer(Consumer):
 
     def _deliver(self, message: AclMessage):
         headers: dict[str, Term] = {
-            "performative": String(message.performative.value),
+            "performative": _PERFORMATIVE_TERMS[message.performative],
             "sender": String(message.sender),
             "receiver": String(message.receiver),
             "msgId": String(message.msg_id),

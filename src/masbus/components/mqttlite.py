@@ -22,24 +22,26 @@ class Broker:
     def __init__(self, key: str):
         self.key = key
         self._lock = threading.Lock()
-        self._subscribers: dict[str, list] = {}
+        # tuples, replaced on change, so publish can call them without a copy
+        self._subscribers: dict[str, tuple] = {}
         self._retained: dict[str, str] = {}
 
     def subscribe(self, topic: str, fn) -> None:
         with self._lock:
-            self._subscribers.setdefault(topic, []).append(fn)
+            self._subscribers[topic] = self._subscribers.get(topic, ()) + (fn,)
 
     def unsubscribe(self, topic: str, fn) -> None:
         with self._lock:
-            handlers = self._subscribers.get(topic, [])
+            handlers = list(self._subscribers.get(topic, ()))
             if fn in handlers:
                 handlers.remove(fn)
+                self._subscribers[topic] = tuple(handlers)
 
     def publish(self, topic: str, payload: str) -> int:
         """Deliver to current subscribers; returns the delivery count."""
         with self._lock:
             self._retained[topic] = payload
-            handlers = list(self._subscribers.get(topic, []))
+            handlers = self._subscribers.get(topic, ())
         for fn in handlers:
             fn(payload)
         return len(handlers)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -33,9 +33,10 @@ from .terms import Atom, Number, String, Term, structure
 logger = logging.getLogger(__name__)
 
 DEFAULT_WORKSPACE = "main"
+OP_LOG_SIZE = 10_000  # entries kept by ``operation_log()``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutboundPayload:
     headers: tuple[tuple[str, Term], ...]
     body: Term
@@ -48,12 +49,12 @@ class OutboundPayload:
         return dict(self.headers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentOrigin:
     agent: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteOrigin:
     route_id: str
 
@@ -61,7 +62,7 @@ class RouteOrigin:
 Origin = AgentOrigin | RouteOrigin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationRequest:
     """Ask an artifact to run one of its operations.
 
@@ -100,21 +101,21 @@ class OpResult:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Percept:
     agent: str
     artifact: str
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyChanged(Percept):
     prop: str = ""
     old: Term | None = None
     new: Term = Atom("nil")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalPercept(Percept):
     label: str = ""
     payload: Term = Atom("nil")
@@ -159,7 +160,7 @@ class Workspace:
         self.artifacts: dict[str, Artifact] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationLogEntry:
     workspace: str
     artifact: str
@@ -173,8 +174,11 @@ class Environment:
     """Shared environment: workspaces of artifacts plus percept delivery.
 
     Percepts are pushed into a per-agent FIFO queue; agents (or an agent
-    runtime) poll with :meth:`poll_percept`. A percept listener can be added
-    to get a wake-up call whenever an agent's queue grows.
+    runtime) poll with :meth:`poll_percept`. A change is minted and queued
+    for all its observers in one lock round, so each queue is in ``seq``
+    order even across concurrent artifacts; percept listeners are called
+    per percept after that round. :meth:`operation_log` keeps the latest
+    ``OP_LOG_SIZE`` entries.
     """
 
     def __init__(self, *, default_workspace: str = DEFAULT_WORKSPACE):
@@ -182,10 +186,10 @@ class Environment:
         self.workspaces: dict[str, Workspace] = {}
         self.default_workspace = default_workspace
         self.create_workspace(default_workspace)
-        self._percept_queues: dict[str, deque[Percept]] = {}
+        self._percept_queues: defaultdict[str, deque[Percept]] = defaultdict(deque)
         self._percept_seq: dict[str, int] = {}
         self._percept_listeners: list = []
-        self._op_log: list[OperationLogEntry] = []
+        self._op_log: deque[OperationLogEntry] = deque(maxlen=OP_LOG_SIZE)
         self._op_listeners: list = []
 
     # -- structure ---------------------------------------------------------
@@ -233,16 +237,12 @@ class Environment:
         art = self.artifact(artifact, workspace)
         with art.lock:
             art.observers.add(agent)
+            with self._lock:
+                last = self._percept_seq.get(agent, 0)
+                self._percept_seq[agent] = last + len(art.properties)
             return [
-                PropertyChanged(
-                    agent=agent,
-                    artifact=art.name,
-                    seq=self._next_seq(agent),
-                    prop=prop,
-                    old=None,
-                    new=value,
-                )
-                for prop, value in art.properties.items()
+                PropertyChanged(agent, art.name, last + i, prop, None, value)
+                for i, (prop, value) in enumerate(art.properties.items(), 1)
             ]
 
     def unfocus(self, agent: str, workspace: str | None, artifact: str) -> None:
@@ -257,24 +257,35 @@ class Environment:
                 return queue.popleft()
             return None
 
+    def _take_percepts(self, agent: str) -> deque[Percept] | tuple:
+        """Dequeue every queued percept of ``agent`` in one lock round."""
+        with self._lock:
+            return self._percept_queues.pop(agent, ())
+
     def add_percept_listener(self, fn) -> None:
         """``fn(percept)`` whenever a percept lands in an agent's queue."""
         self._percept_listeners.append(fn)
 
-    def _next_seq(self, agent: str) -> int:
+    def _queue_percepts(self, agents, artifact: str, changes) -> None:
+        """Queue ``cls(agent, artifact, seq, *fields)`` for each change in
+        ``changes`` (``(cls, fields)`` pairs) and each agent, then call the
+        listeners per percept. Minting and queueing share one lock round."""
+        queued = []
         with self._lock:
-            seq = self._percept_seq.get(agent, 0) + 1
-            self._percept_seq[agent] = seq
-            return seq
-
-    def _push_percept(self, percept: Percept) -> None:
-        with self._lock:
-            self._percept_queues.setdefault(percept.agent, deque()).append(percept)
-        for fn in self._percept_listeners:
-            try:
-                fn(percept)
-            except Exception:
-                logger.exception("percept listener failed")
+            seqs, queues = self._percept_seq, self._percept_queues
+            for cls, fields in changes:
+                for agent in agents:
+                    seq = seqs[agent] = seqs.get(agent, 0) + 1
+                    percept = cls(agent, artifact, seq, *fields)
+                    queues[agent].append(percept)
+                    queued.append(percept)
+        listeners = self._percept_listeners
+        for percept in queued:
+            for fn in listeners:
+                try:
+                    fn(percept)
+                except Exception:
+                    logger.exception("percept listener failed")
 
     # -- operations ----------------------------------------------------------
 
@@ -307,43 +318,28 @@ class Environment:
                 result = OpResult.failed(failure.reason)
             if result is None:
                 result = OpResult()
-            if result.ok:
+            status = result.status
+            if status == "ok":
                 self._apply(art, result)
-            self._log_op(request, art, result.status)
-        if not result.ok:
+            self._log_op(request, art, status)
+        if status != "ok":
             reason = result.reason if result.reason is not None else Atom("failed")
             self._notify_origin_failure(request, reason)
         return result
 
     def _apply(self, art: Artifact, result: OpResult) -> None:
         # runs under the artifact lock; observers at change time get percepts
+        changes = []
         for prop, new in result.property_updates.items():
             old = art.properties.get(prop)
             if old == new:
                 continue
             art.properties[prop] = new
-            for agent in art.observers:
-                self._push_percept(
-                    PropertyChanged(
-                        agent=agent,
-                        artifact=art.name,
-                        seq=self._next_seq(agent),
-                        prop=prop,
-                        old=old,
-                        new=new,
-                    )
-                )
+            changes.append((PropertyChanged, (prop, old, new)))
         for label, payload in result.signals:
-            for agent in art.observers:
-                self._push_percept(
-                    SignalPercept(
-                        agent=agent,
-                        artifact=art.name,
-                        seq=self._next_seq(agent),
-                        label=label,
-                        payload=payload,
-                    )
-                )
+            changes.append((SignalPercept, (label, payload)))
+        if changes and art.observers:
+            self._queue_percepts(art.observers, art.name, changes)
         for payload in result.outbound:
             self._queue_outbound(art, payload)
 
@@ -367,17 +363,14 @@ class Environment:
     def _notify_origin_failure(self, request: OperationRequest, reason: Term) -> None:
         origin = request.origin
         if isinstance(origin, AgentOrigin) and origin.agent:
-            self._push_percept(
-                SignalPercept(
-                    agent=origin.agent,
-                    artifact=request.artifact_name,
-                    seq=self._next_seq(origin.agent),
-                    label="operation_failed",
-                    payload=structure(
-                        "operation_failed",
-                        [String(request.artifact_name), String(request.operation_name), reason],
-                    ),
-                )
+            payload = structure(
+                "operation_failed",
+                [String(request.artifact_name), String(request.operation_name), reason],
+            )
+            self._queue_percepts(
+                (origin.agent,),
+                request.artifact_name,
+                [(SignalPercept, ("operation_failed", payload))],
             )
 
     def operation_log(self) -> tuple[OperationLogEntry, ...]:
@@ -464,7 +457,7 @@ def tracker_template(
     def give_distance(ctx: OpContext, params: list[Term]) -> OpResult:
         if len(params) != 2:
             raise OperationFailedError(Atom("bad_coordinates"))
-        lat, lon = (_as_float(p) for p in params)
+        lat, lon = _as_float(params[0]), _as_float(params[1])
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             raise OperationFailedError(Atom("bad_coordinates"))
         dest_lat, dest_lon = ctx.state["destination"]

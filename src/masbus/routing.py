@@ -330,7 +330,8 @@ class _RouteRuntime:
                 continue
             exchange.trace.append(endpoint)
             staged.append(DeliveryRecord(exchange.id, self.route_id, endpoint, bus.clock.now()))
-            bus._notify_delivery(exchange, self.route_id, endpoint)
+            if bus._delivery_listeners:
+                bus._notify_delivery(exchange, self.route_id, endpoint)
 
 
 class Bus:

@@ -12,7 +12,8 @@ ii.  ``production_agent`` checks the order out on the ``erp`` artifact,
 iii. ``distribution_agent`` fetches freight quotes through the ``quotes``
      artifact (HTTP-backed, perceived as an observable property), picks the
      strict minimum price (ties: lexicographically smallest name) and hires
-     the winner by telling its dummy agent;
+     the winner by telling its dummy agent, whose route writes the hire to
+     the chat transcript before stage iv starts;
 iv.  the hired carrier publishes tracking waypoints on the in-process
      pub/sub topic ``latLong``; a route feeds them to ``TrackedArtifact``
      which maintains the distance to the destination;
@@ -215,9 +216,14 @@ def assert_report(report: ScenarioReport, cfg: ScenarioConfig) -> list[str]:
         violations.append("no hire message recorded")
     elif report.hire_message.get("performative") != Performative.TELL.value:
         violations.append(f"hire message is not a tell: {report.hire_message}")
+    chat_ids = [r.get("chatId") for r in report.chat_transcript]
     customer_rows = [r for r in report.chat_transcript if r.get("chatId") == cfg.chat_id]
     if not customer_rows:
         violations.append(f"no chat transcript row with chatId {cfg.chat_id}")
+    if report.winner_supplier not in chat_ids:
+        violations.append(f"no chat transcript row for the hired {report.winner_supplier!r}")
+    elif customer_rows and chat_ids.index(report.winner_supplier) > chat_ids.index(cfg.chat_id):
+        violations.append("the customer chat row precedes the hire row")
     stage_v = report.stage_timestamps.get("v")
     if customer_rows and report.near_signal_ts is None:
         violations.append("customer chat row without a preceding near_destination signal")
@@ -423,10 +429,12 @@ class _Run:
                 "performative": message.performative.value,
                 "content": render_term(message.content),
             }
-            self._mark("iii")
 
     def _on_chat_row(self, row):
-        if row.chat_id == self.cfg.chat_id:
+        # iii ends at the hire's chat row, so stage iv cannot overtake it
+        if row.chat_id in self.supplier_names:
+            self._mark("iii")
+        elif row.chat_id == self.cfg.chat_id:
             self._mark("v")
 
     def _on_percept(self, percept):

@@ -16,6 +16,7 @@ Lists and structures nest at most ``MAX_TERM_DEPTH`` levels deep.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -42,10 +43,8 @@ class Number(Term):
 
     def __post_init__(self):
         # non-finite floats would render as bare words and break round-trips
-        if isinstance(self.value, float) and self.value != self.value:
-            raise ValueError("NaN is not a representable number term")
-        if isinstance(self.value, float) and self.value in (float("inf"), float("-inf")):
-            raise ValueError("infinite values are not representable number terms")
+        if isinstance(self.value, float) and not math.isfinite(self.value):
+            raise ValueError(f"{self.value} is not a representable number term")
 
     def __str__(self) -> str:
         return render_term(self)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from masbus import (
@@ -10,6 +14,7 @@ from masbus import (
     Delivery,
     Environment,
     Number,
+    OperationRequest,
     Performative,
     counter_template,
     structure,
@@ -228,3 +233,88 @@ def test_message_validation():
         AclMessage("a", "", Performative.TELL, Atom("x"))
     coerced = AclMessage("a", "b", "askOne", Atom("x"))
     assert coerced.performative is Performative.ASK_ONE
+
+
+def test_every_agent_reacts_to_every_stimulus_under_concurrent_feeders():
+    env = Environment()
+    env.create_artifact("main", "a", counter_template())
+    env.create_artifact("main", "b", counter_template())
+    reg = AgentRegistry(env)
+    names = [f"agent{i}" for i in range(8)]
+    percepts = {name: [] for name in names}
+    messages = {name: [] for name in names}
+    reacted = threading.Condition()
+
+    def behavior(name):
+        def on_percept(ctx, p):
+            if p.old is not None:  # not a focus snapshot
+                with reacted:
+                    percepts[name].append(p.seq)
+                    reacted.notify_all()
+            return []
+
+        def on_message(ctx, m):
+            with reacted:
+                messages[name].append((m.sender, m.content.value))
+                reacted.notify_all()
+            return []
+
+        return AgentBehavior(
+            on_percept=on_percept,
+            on_message=on_message,
+            initial=lambda ctx: [ctx.focus("a"), ctx.focus("b")],
+        )
+
+    for name in names:
+        reg.spawn_agent(name, behavior(name))
+    reg.spawn_agent("s0")
+    reg.spawn_agent("s1")
+    rounds = 300
+    # every round ends with each agent's last stimulus, where a lost
+    # wake-up would leave it asleep
+    barrier = threading.Barrier(5)
+
+    def operate(artifact):
+        for _ in range(rounds):
+            barrier.wait()
+            env.execute_op(OperationRequest(artifact, "increment"))
+            barrier.wait()
+
+    def send(sender):
+        for i in range(rounds):
+            barrier.wait()
+            for name in names:
+                reg.send_message(tell(sender, name, Number(i)))
+            barrier.wait()
+
+    def all_reacted(n):
+        return all(len(percepts[a]) == 2 * n and len(messages[a]) == 2 * n for a in names)
+
+    feeders = [threading.Thread(target=operate, args=(a,)) for a in "ab"]
+    feeders += [threading.Thread(target=send, args=(s,)) for s in ("s0", "s1")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    completed = 0
+    try:
+        for feeder in feeders:
+            feeder.start()
+        deadline = time.monotonic() + 10.0
+        for n in range(1, rounds + 1):
+            barrier.wait()
+            barrier.wait()
+            with reacted:
+                if not reacted.wait_for(lambda: all_reacted(n), deadline - time.monotonic()):
+                    break
+            completed = n
+    finally:
+        if completed < rounds:
+            barrier.abort()  # releases the feeders from the unfinished round
+        sys.setswitchinterval(interval)
+        for feeder in feeders:
+            feeder.join(5.0)
+        reg.stop()
+    assert completed == rounds, {a: (len(percepts[a]), len(messages[a])) for a in names}
+    for name in names:
+        assert percepts[name] == sorted(percepts[name])
+        for sender in ("s0", "s1"):
+            assert [i for s, i in messages[name] if s == sender] == list(range(rounds))

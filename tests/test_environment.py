@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from masbus.errors import (
     UnknownOperationError,
     UnknownWorkspaceError,
 )
+from masbus.environment import OP_LOG_SIZE
 
 
 def flag_template():
@@ -161,6 +163,43 @@ def test_percept_seq_is_monotonic_per_agent():
     seqs = [p.seq for p in drain_percepts(env, "x")]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+def test_percepts_stay_in_seq_order_across_concurrent_artifacts():
+    env = Environment()
+    env.create_artifact("main", "a", counter_template())
+    env.create_artifact("main", "b", counter_template())
+    env.focus("x", None, "a")
+    env.focus("x", None, "b")
+
+    def hammer(artifact):
+        for _ in range(3_000):
+            env.execute_op(request(artifact, "increment"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    seqs = [p.seq for p in drain_percepts(env, "x")]
+    assert len(seqs) == 6_000
+    # the focus snapshots took seq 1 and 2
+    assert seqs == list(range(3, 6_003))
+
+
+def test_operation_log_keeps_the_newest_entries():
+    env = Environment()
+    env.create_artifact("main", "c", counter_template())
+    for i in range(12_000):
+        env.execute_op(request("c", "increment", [Number(i)]))
+    log = env.operation_log()
+    assert OP_LOG_SIZE == 10_000
+    assert [entry.params for entry in log] == [(Number(i),) for i in range(2_000, 12_000)]
 
 
 def test_unknown_operation_raises_and_notifies_agent_origin():

@@ -18,6 +18,15 @@ def test_direct_fanin_benchmark_runs_clean():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
+def test_track_notify_benchmark_runs_clean():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "track_notify",
+         "--seed", "1", "--seconds", "0.2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_scenario_sim_benchmark_runs_clean():
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "scenario_sim",

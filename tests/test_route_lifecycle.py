@@ -262,3 +262,31 @@ def test_stop_releases_listener_port_and_thread():
         bus.stop()
         assert [ex.body for ex in collector.exchanges()] == [Number(1)]
         assert _listener_threads() == before, scheme
+
+
+@pytest.mark.parametrize(
+    "uri, thread_name",
+    [
+        ("tcpline:127.0.0.1:0", "tcpline-accept-conn"),
+        ("httplite:127.0.0.1:0/hook", "httplite-serve-conn"),
+    ],
+    ids=["tcpline", "httplite"],
+)
+def test_stop_ends_connections_of_silent_peers(uri, thread_name):
+    bus = Bus()
+    collector = CollectorComponent()
+    register_builtin_components(bus)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("in", uri, (), ("collect:y",)))
+    bus.start()
+
+    def connection_threads():
+        return [t for t in threading.enumerate() if t.name == thread_name]
+
+    # a peer that connects and then neither sends nor closes
+    with socket.create_connection(bus.consumer("in").address, timeout=5.0) as peer:
+        assert wait_for(connection_threads)
+        bus.stop()
+        assert wait_for(lambda: not connection_threads(), timeout=0.5)
+        assert peer.recv(1) == b""  # the bus closed its end
+    assert collector.exchanges() == []

@@ -95,6 +95,15 @@ def test_two_seeded_runs_are_deterministic():
     assert first.stage_timestamps != {}  # timestamps exist, just not compared
 
 
+def test_hire_row_precedes_customer_row_in_every_simulated_run():
+    cfg = nominal_config()
+    for _ in range(20):
+        report = run_scenario(cfg, simulated=True)
+        chat_ids = [row["chatId"] for row in report.chat_transcript]
+        assert chat_ids.index(report.winner_supplier) < chat_ids.index(cfg.chat_id)
+        assert assert_report(report, cfg) == []
+
+
 def test_wall_clock_run_completes():
     cfg = nominal_config()
     report = run_scenario(cfg, simulated=False)
@@ -192,6 +201,14 @@ def test_assert_report_flags_wrong_chat_id():
             row["chatId"] = "someone-else"
     violations = assert_report(report, cfg)
     assert any(cfg.chat_id in v for v in violations)
+
+
+def test_assert_report_flags_customer_row_before_hire_row():
+    cfg = nominal_config()
+    report = run_scenario(cfg, simulated=True)
+    report.chat_transcript.reverse()
+    violations = assert_report(report, cfg)
+    assert any("precedes the hire row" in v for v in violations)
 
 
 def test_assert_report_flags_wrong_winner():
