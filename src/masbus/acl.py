@@ -342,10 +342,13 @@ class AgentRegistry:
         elif isinstance(effect, Focus):
             if self.environment is None:
                 raise RuntimeError("no environment attached; cannot focus")
+            on_percept = agent.behavior.on_percept if agent.behavior is not None else None
+            if on_percept is None:
+                # nothing would ever take its percepts: they would pile up
+                raise RuntimeError(f"agent {agent.name!r} has no on_percept; cannot focus")
             snapshots = self.environment.focus(agent.name, effect.workspace, effect.artifact)
-            if agent.behavior is not None and agent.behavior.on_percept is not None:
-                for percept in snapshots:
-                    self._react(agent, agent.behavior.on_percept, percept)
+            for percept in snapshots:
+                self._react(agent, on_percept, percept)
         elif isinstance(effect, Log):
             agent.log.append(effect.entry)
         else:

@@ -48,15 +48,6 @@ def _parse_aliases(pairs) -> dict[str, str]:
     return aliases
 
 
-def _load_route_file(path: str, cli_aliases: dict[str, str]):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    route_file = parse_route_file(text, source=path)
-    aliases = dict(route_file.aliases)
-    aliases.update(cli_aliases)
-    return route_file, aliases
-
-
 def _unresolved_schemes(route_file, aliases) -> list[str]:
     known = set(BUILTIN_SCHEMES)
     missing = []
@@ -68,39 +59,40 @@ def _unresolved_schemes(route_file, aliases) -> list[str]:
     return missing
 
 
-def cmd_validate(args) -> int:
+def _load(args):
+    """``(route_file, aliases, EXIT_OK)``, or ``(None, None, code)`` after a diagnostic.
+
+    ``--alias`` pairs override the file's own aliases.
+    """
     try:
         cli_aliases = _parse_aliases(args.alias)
-        route_file, aliases = _load_route_file(args.route_file, cli_aliases)
+        with open(args.route_file, "r", encoding="utf-8") as fh:
+            route_file = parse_route_file(fh.read(), source=args.route_file)
     except (OSError, ValueError, RouteConfigError) as err:
         print(f"{args.route_file}: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return None, None, EXIT_PARSE
+    aliases = {**route_file.aliases, **cli_aliases}
     missing = _unresolved_schemes(route_file, aliases)
     if missing:
         print(
             f"{args.route_file}: unresolved scheme(s): {', '.join(missing)}",
             file=sys.stderr,
         )
-        return EXIT_SCHEME
-    print(f"{args.route_file}: {len(route_file.routes)} route(s) ok")
-    return EXIT_OK
+        return None, None, EXIT_SCHEME
+    return route_file, aliases, EXIT_OK
+
+
+def cmd_validate(args) -> int:
+    route_file, _, code = _load(args)
+    if code == EXIT_OK:
+        print(f"{args.route_file}: {len(route_file.routes)} route(s) ok")
+    return code
 
 
 def cmd_run(args) -> int:
-    try:
-        cli_aliases = _parse_aliases(args.alias)
-        route_file, aliases = _load_route_file(args.route_file, cli_aliases)
-    except (OSError, ValueError, RouteConfigError) as err:
-        print(f"{args.route_file}: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    missing = _unresolved_schemes(route_file, aliases)
-    if missing:
-        print(
-            f"{args.route_file}: unresolved scheme(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return EXIT_SCHEME
-
+    route_file, aliases, code = _load(args)
+    if code != EXIT_OK:
+        return code
     clock = SimulatedClock() if args.simulated_time else None
     environment = Environment()
     registry = AgentRegistry(environment)

@@ -51,7 +51,6 @@ class ChatStubComponent(Component):
     def __init__(self):
         self._rows: list[TranscriptRow] = []
         self._lock = threading.Lock()
-        self._listeners: list = []
 
     def create_producer(self, ctx):
         return _ChatProducer(ctx, self)
@@ -59,11 +58,6 @@ class ChatStubComponent(Component):
     def _append(self, row: TranscriptRow):
         with self._lock:
             self._rows.append(row)
-        for fn in self._listeners:
-            fn(row)
-
-    def add_listener(self, fn) -> None:
-        self._listeners.append(fn)
 
     def transcript(self) -> tuple[TranscriptRow, ...]:
         with self._lock:

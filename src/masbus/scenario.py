@@ -20,6 +20,12 @@ iv.  the hired carrier publishes tracking waypoints on the in-process
 v.   on the ``near_destination`` signal, ``delivery_agent`` tells
      ``DummyCustomerAgent``, whose route ends in the chat transcript.
 
+The run watches one thing, the bus: stages i, iii, iv and v are read from
+deliveries on the named routes ``plc-in``, ``supplier-<name>``, ``track``
+and ``customer``, through a single delivery listener. Stage ii is the ERP
+stub answering the checkout, and ``delivery_agent`` stamps the
+``near_destination`` signal when it perceives it.
+
 With ``simulated=True`` waypoint publishing runs in lockstep with artifact
 processing instead of wall-clock pacing, so two runs with the same config
 produce reports that are identical except for timestamps.
@@ -33,14 +39,14 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from xml.sax.saxutils import escape as xml_escape
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
-from .acl import AclMessage, AgentBehavior, AgentRegistry, Delivery, Performative
+from .acl import AgentBehavior, AgentRegistry, Performative
 from .components import register_builtin_components
 from .components.base import Listener
 from .components.httplite import serve_http
-from .config import RouteBuilder, constant, parse_route_file
+from .config import RouteBuilder
 from .environment import (
     ArtifactTemplate,
     Environment,
@@ -52,7 +58,7 @@ from .environment import (
 )
 from .errors import ScenarioConfigError, StageTimeoutError
 from .routing import Bus
-from .terms import Atom, ListTerm, Number, String, Structure, render_term, structure
+from .terms import Atom, ListTerm, Number, String, Structure, render_term, structure, term_text
 
 logger = logging.getLogger(__name__)
 
@@ -115,20 +121,7 @@ class ScenarioConfig:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "supplier_quotes": [[n, p] for n, p in self.supplier_quotes],
-                "track_waypoints": [[a, b] for a, b in self.track_waypoints],
-                "destination": list(self.destination),
-                "near_threshold_km": self.near_threshold_km,
-                "tick_period_ms": self.tick_period_ms,
-                "chat_token": self.chat_token,
-                "chat_id": self.chat_id,
-                "stage_timeout_s": self.stage_timeout_s,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
@@ -165,17 +158,7 @@ class ScenarioReport:
     delivery_order_ok: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "stage_timestamps": dict(self.stage_timestamps),
-            "winner_supplier": self.winner_supplier,
-            "hire_message": self.hire_message,
-            "erp_checkout_record": self.erp_checkout_record,
-            "chat_transcript": list(self.chat_transcript),
-            "dead_letters": list(self.dead_letters),
-            "near_signal_ts": self.near_signal_ts,
-            "delivery_order_ok": self.delivery_order_ok,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -348,7 +331,9 @@ def _distribution_behavior() -> AgentBehavior:
     return AgentBehavior(on_message=on_message, on_percept=on_percept, initial=initial)
 
 
-def _delivery_behavior() -> AgentBehavior:
+def _delivery_behavior(on_near: Callable[[], None]) -> AgentBehavior:
+    """Tells the customer on the first ``near_destination``, after ``on_near()``."""
+
     def initial(ctx):
         return [ctx.focus("TrackedArtifact")]
 
@@ -359,6 +344,7 @@ def _delivery_behavior() -> AgentBehavior:
             and not ctx.state.get("notified")
         ):
             ctx.state["notified"] = True
+            on_near()
             return [
                 ctx.tell(
                     "DummyCustomerAgent", structure("near_destination", [percept.payload])
@@ -372,21 +358,21 @@ def _delivery_behavior() -> AgentBehavior:
 # -- orchestration ------------------------------------------------------------------
 
 
-CUSTOMER_ROUTE_XML = """\
-<routes>
-  <aliases>
-    <alias scheme="telegram" component="chatstub"/>
-    <alias scheme="mqtt" component="mqttlite"/>
-  </aliases>
-  <route id="customer">
-    <from uri="jason:DummyCustomerAgent"/>
-    <to uri="telegram:bots/{token}?chatId={chat_id}"/>
-  </route>
-</routes>
-"""
-
 TRACK_FROM_URI = "mqtt : foo? host=tcp://broker & subscribeTopicName=latLong"
 TRACK_TO_URI = "artifact : cartago"
+
+
+def _into_artifact(
+    route_id: str, from_uri: str, artifact: str, operation: str, to: str = "artifact:main"
+) -> RouteBuilder:
+    """A route that runs ``operation`` of ``artifact`` on each exchange's body."""
+    return (
+        RouteBuilder(route_id)
+        .from_(from_uri)
+        .set_header("ArtifactName", artifact)
+        .set_header("OperationName", operation)
+        .to(to)
+    )
 
 
 class _Run:
@@ -395,7 +381,6 @@ class _Run:
         self.simulated = simulated
         self.report = ScenarioReport(seed=cfg.seed)
         self.stage_events = {s: threading.Event() for s in STAGES}
-        self.supplier_names = {name for name, _ in cfg.supplier_quotes}
         self.give_distance_done = threading.Semaphore(0)
         self.erp_stub: Listener | None = None
         self.quotes_stub: Listener | None = None
@@ -404,7 +389,7 @@ class _Run:
         self.chat = None
         self.broker = None
 
-    # listener callbacks -------------------------------------------------
+    # observation ----------------------------------------------------------
 
     def _mark(self, stage: str):
         if not self.stage_events[stage].is_set():
@@ -412,35 +397,30 @@ class _Run:
             self.stage_events[stage].set()
             logger.info("scenario stage %s reached", stage)
 
-    def _on_op(self, entry):
-        if entry.artifact == "plc" and entry.operation == "signalDone" and entry.status == "ok":
-            self._mark("i")
-        if entry.artifact == "TrackedArtifact" and entry.operation == "giveDistance":
+    def _on_delivery(self, exchange, route_id: str, endpoint: str):
+        # stages i, iii, iv and v each end in a delivery on a named route
+        if route_id == "track":
             self._mark("iv")
             self.give_distance_done.release()
-
-    def _on_send(self, message: AclMessage, outcome: Delivery):
-        if message.receiver in self.supplier_names and outcome is Delivery.ROUTED:
-            self.report.winner_supplier = message.receiver
-            self.report.hire_message = {
-                "msg_id": message.msg_id,
-                "sender": message.sender,
-                "receiver": message.receiver,
-                "performative": message.performative.value,
-                "content": render_term(message.content),
-            }
-
-    def _on_chat_row(self, row):
-        # iii ends at the hire's chat row, so stage iv cannot overtake it
-        if row.chat_id in self.supplier_names:
-            self._mark("iii")
-        elif row.chat_id == self.cfg.chat_id:
+        elif route_id == "plc-in":
+            self._mark("i")
+        elif route_id == "customer":
             self._mark("v")
+        elif route_id.startswith("supplier-"):
+            headers = exchange.headers
+            self.report.winner_supplier = term_text(headers["receiver"])
+            self.report.hire_message = {
+                "msg_id": term_text(headers["msgId"]),
+                "sender": term_text(headers["sender"]),
+                "receiver": self.report.winner_supplier,
+                "performative": term_text(headers["performative"]),
+                "content": render_term(exchange.body),
+            }
+            # iii ends at the hire's chat row, so stage iv cannot overtake it
+            self._mark("iii")
 
-    def _on_percept(self, percept):
-        if isinstance(percept, SignalPercept) and percept.label == "near_destination":
-            if self.report.near_signal_ts is None:
-                self.report.near_signal_ts = time.monotonic()
+    def _on_near(self):
+        self.report.near_signal_ts = time.monotonic()
 
     # setup ----------------------------------------------------------------
 
@@ -453,11 +433,7 @@ class _Run:
         env.create_artifact(
             "main", "TrackedArtifact", tracker_template(cfg.destination, cfg.near_threshold_km)
         )
-        env.add_op_listener(self._on_op)
-        env.add_percept_listener(self._on_percept)
-
         registry = AgentRegistry(env, run_id="scenario")
-        registry.add_send_listener(self._on_send)
 
         self.erp_stub = serve_http(("127.0.0.1", 0), self._erp_response, "erp-stub")
         self.quotes_stub = serve_http(("127.0.0.1", 0), self._quotes_response, "quotes-stub")
@@ -465,78 +441,42 @@ class _Run:
         bus = Bus(run_id="scenario")
         components = register_builtin_components(bus, registry, env)
         self.chat = components["chatstub"]
-        self.chat.add_listener(self._on_chat_row)
         self.broker = components["mqttlite"].broker("tcp://broker")
-
-        route_file = parse_route_file(
-            CUSTOMER_ROUTE_XML.format(
-                token=xml_escape(cfg.chat_token, {'"': "&quot;"}),
-                chat_id=xml_escape(cfg.chat_id, {'"': "&quot;"}),
-            )
-        )
-        for scheme, component in route_file.aliases.items():
-            bus.register_alias(scheme, component)
+        bus.register_alias("telegram", "chatstub")
+        bus.register_alias("mqtt", "mqttlite")
+        bus.add_delivery_listener(self._on_delivery)
 
         registry.spawn_agent("production_agent", _production_behavior(cfg))
         registry.spawn_agent("distribution_agent", _distribution_behavior())
-        registry.spawn_agent("delivery_agent", _delivery_behavior())
+        registry.spawn_agent("delivery_agent", _delivery_behavior(self._on_near))
 
-        for definition in route_file.routes:
-            bus.add_route(definition)
-        bus.add_route(
-            RouteBuilder("track")
-            .from_(TRACK_FROM_URI)
-            .set_header("ArtifactName", constant("TrackedArtifact"))
-            .set_header("OperationName", constant("giveDistance"))
-            .to(TRACK_TO_URI)
-            .build()
-        )
-        bus.add_route(
-            RouteBuilder("plc-in")
-            .from_("tcpline:127.0.0.1:0")
-            .set_header("ArtifactName", constant("plc"))
-            .set_header("OperationName", constant("signalDone"))
-            .to("artifact:main")
-            .build()
-        )
-        bus.add_route(
+        erp = f"httplite:127.0.0.1:{self.erp_stub.address[1]}"
+        quotes = f"httplite:127.0.0.1:{self.quotes_stub.address[1]}"
+        routes = [
+            RouteBuilder("customer")
+            .from_("jason:DummyCustomerAgent")
+            .to(f"telegram:bots/{cfg.chat_token}?chatId={cfg.chat_id}"),
+            _into_artifact("track", TRACK_FROM_URI, "TrackedArtifact", "giveDistance", TRACK_TO_URI),
+            _into_artifact("plc-in", "tcpline:127.0.0.1:0", "plc", "signalDone"),
             RouteBuilder("erp-out")
             .from_("artifact:main?artifactName=erp")
-            .to(f"httplite:127.0.0.1:{self.erp_stub.address[1]}/checkout?method=POST&replyTo=erp-confirm")
-            .build()
-        )
-        bus.add_route(
-            RouteBuilder("erp-confirm")
-            .from_("direct:erp-confirm")
-            .set_header("ArtifactName", constant("erp"))
-            .set_header("OperationName", constant("confirm"))
-            .to("artifact:main")
-            .build()
-        )
-        bus.add_route(
+            .to(f"{erp}/checkout?method=POST&replyTo=erp-confirm"),
+            _into_artifact("erp-confirm", "direct:erp-confirm", "erp", "confirm"),
             RouteBuilder("quotes-out")
             .from_("artifact:main?artifactName=quotes")
-            .to(f"httplite:127.0.0.1:{self.quotes_stub.address[1]}/quotes?method=GET&replyTo=quotes-loaded")
-            .build()
-        )
-        bus.add_route(
-            RouteBuilder("quotes-loaded")
-            .from_("direct:quotes-loaded")
-            .set_header("ArtifactName", constant("quotes"))
-            .set_header("OperationName", constant("loaded"))
-            .to("artifact:main")
-            .build()
-        )
-        for name in sorted(self.supplier_names):
-            bus.add_route(
-                RouteBuilder(f"supplier-{name}")
-                .from_(f"jason:{name}")
-                .to(f"chatstub:bots/freight?chatId={name}")
-                .build()
-            )
+            .to(f"{quotes}/quotes?method=GET&replyTo=quotes-loaded"),
+            _into_artifact("quotes-loaded", "direct:quotes-loaded", "quotes", "loaded"),
+        ]
+        routes += [
+            RouteBuilder(f"supplier-{name}")
+            .from_(f"jason:{name}")
+            .to(f"chatstub:bots/freight?chatId={name}")
+            for name, _ in sorted(cfg.supplier_quotes)
+        ]
+        for route in routes:
+            bus.add_route(route.build())
         self.bus = bus
         self.registry = registry
-        self.environment = env
 
     def _erp_response(self, method, path, body):
         self.report.erp_checkout_record = {

@@ -196,6 +196,22 @@ def test_behavior_reacts_to_percepts_and_focus_snapshot():
     reg.stop()
 
 
+def test_focus_is_refused_to_an_agent_without_on_percept():
+    env = Environment()
+    env.create_artifact("main", "c", counter_template())
+    reg = AgentRegistry(env)
+    reg.spawn_agent(
+        "deaf",
+        AgentBehavior(on_message=lambda ctx, m: [], initial=lambda ctx: [ctx.focus("c")]),
+    )
+    for _ in range(5000):
+        env.execute_op(OperationRequest("c", "increment"))
+    # nothing would ever take its percepts, so it never became an observer
+    assert env.poll_percept("deaf") is None
+    assert "deaf" not in env.artifact("c").observers
+    reg.stop()
+
+
 def test_artifact_op_failure_notifies_acting_agent():
     env = Environment()
     env.create_artifact("main", "c", counter_template())

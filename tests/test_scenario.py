@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -102,6 +103,26 @@ def test_hire_row_precedes_customer_row_in_every_simulated_run():
         chat_ids = [row["chatId"] for row in report.chat_transcript]
         assert chat_ids.index(report.winner_supplier) < chat_ids.index(cfg.chat_id)
         assert assert_report(report, cfg) == []
+
+
+def test_generated_configs_pass_under_frequent_thread_switches():
+    # stages are read off route deliveries on worker threads; switching
+    # threads every microsecond shakes out any ordering they rely on
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(100):
+            cfg = ScenarioConfig.generate(seed)
+            report = run_scenario(cfg, simulated=True)
+            assert assert_report(report, cfg) == [], seed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_hire_message_is_read_from_the_supplier_exchange():
+    report = run_scenario(nominal_config(), simulated=True)
+    assert report.hire_message["sender"] == "distribution_agent"
+    assert report.hire_message["msg_id"].startswith("scenario-m")
 
 
 def test_wall_clock_run_completes():
