@@ -333,16 +333,17 @@ class AgentRegistry:
                 logger.exception("effect %r of agent %s failed", effect, agent.name)
 
     def _run_effect(self, agent: _Agent, effect: Effect) -> None:
+        on_percept = agent.behavior.on_percept if agent.behavior is not None else None
         if isinstance(effect, Send):
             self.send_message(effect.message)
         elif isinstance(effect, ArtifactOp):
             if self.environment is None:
                 raise RuntimeError("no environment attached; cannot act on artifacts")
-            self.environment.execute_op(effect.request)
+            # an operation_failed percept would pile up for an agent that takes none
+            self.environment.execute_op(effect.request, notify_origin=on_percept is not None)
         elif isinstance(effect, Focus):
             if self.environment is None:
                 raise RuntimeError("no environment attached; cannot focus")
-            on_percept = agent.behavior.on_percept if agent.behavior is not None else None
             if on_percept is None:
                 # nothing would ever take its percepts: they would pile up
                 raise RuntimeError(f"agent {agent.name!r} has no on_percept; cannot focus")

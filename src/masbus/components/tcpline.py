@@ -1,8 +1,11 @@
 """Line-oriented TCP endpoints: ``tcpline:<host>:<port>``.
 
 Wire format: UTF-8 text, one message per ``\\n``-terminated line. The
-consumer listens and emits one exchange per received line; the producer
-opens a connection per send and writes the rendered body plus newline.
+consumer listens and emits one exchange per received line, each line
+decoded on its own: a line that is not UTF-8 is admitted as a string term
+of its text with every undecodable byte written as ``\\xNN``, and the lines
+around it are admitted as usual. The producer opens a connection per send
+and writes the rendered body plus newline.
 Binding to port 0 picks a free port; the bound address is exposed on the
 consumer as ``address``.
 """
@@ -13,7 +16,7 @@ import logging
 import socket
 
 from ..errors import BusError
-from ..terms import payload_to_term, render_term
+from ..terms import String, payload_to_term, render_term
 from ..uris import format_uri
 from .base import Component, Consumer, Listener, Producer
 
@@ -46,13 +49,18 @@ class _TcpLineConsumer(Consumer):
             self._listener = None
 
     def _read_lines(self, conn: socket.socket, _address):
-        with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+        with conn.makefile("rb") as reader:
             for line in reader:
                 if self._stopping:
                     return
-                text = line.rstrip("\n")
-                if text:
-                    self.ctx.emit(self.ctx.new_exchange(body=payload_to_term(text)))
+                line = line.rstrip(b"\n")
+                if not line:
+                    continue
+                try:
+                    body = payload_to_term(line.decode("utf-8"))
+                except UnicodeDecodeError:
+                    body = String(line.decode("utf-8", "backslashreplace"))
+                self.ctx.emit(self.ctx.new_exchange(body=body))
 
 
 class _TcpLineProducer(Producer):

@@ -289,19 +289,21 @@ class Environment:
 
     # -- operations ----------------------------------------------------------
 
-    def execute_op(self, request: OperationRequest) -> OpResult:
+    def execute_op(self, request: OperationRequest, *, notify_origin: bool = True) -> OpResult:
         """Run an operation atomically and fan out its effects.
 
         Unknown artifact/operation raise; an operation that reports failure
         comes back as a ``failed`` result. In every failure case an
         agent origin is additionally notified with an ``operation_failed``
-        signal percept; route origins are left to the caller (the route
+        signal percept, unless ``notify_origin`` is false (the agent takes
+        no percepts); route origins are left to the caller (the route
         machinery dead-letters the exchange).
         """
+        notify = self._notify_origin_failure if notify_origin else lambda request, reason: None
         try:
             art = self.artifact(request.artifact_name, request.workspace)
         except (UnknownWorkspaceError, UnknownArtifactError) as err:
-            self._notify_origin_failure(request, String(str(err)))
+            notify(request, String(str(err)))
             raise
         with art.lock:
             fn = art.operations.get(request.operation_name)
@@ -310,7 +312,7 @@ class Environment:
                 err = UnknownOperationError(
                     f"artifact {art.name!r} has no operation {request.operation_name!r}"
                 )
-                self._notify_origin_failure(request, String(str(err)))
+                notify(request, String(str(err)))
                 raise err
             try:
                 result = fn(OpContext(art), list(request.params))
@@ -324,7 +326,7 @@ class Environment:
             self._log_op(request, art, status)
         if status != "ok":
             reason = result.reason if result.reason is not None else Atom("failed")
-            self._notify_origin_failure(request, reason)
+            notify(request, reason)
         return result
 
     def _apply(self, art: Artifact, result: OpResult) -> None:

@@ -230,6 +230,10 @@ class _RouteRuntime:
 
     def shutdown(self, deadline: float):
         """Detach the worker; whatever it has not finished by ``deadline`` is dropped."""
+        self.join(self.detach(), deadline)
+
+    def detach(self) -> threading.Thread | None:
+        """Drop the queued exchanges and tell the worker to end; returns it."""
         with self._cond:
             self._accepting = False
             for exchange in self._queue:
@@ -237,6 +241,10 @@ class _RouteRuntime:
             self._queue.clear()
             thread, self._thread = self._thread, None
             self._cond.notify_all()
+        return thread
+
+    def join(self, thread: threading.Thread | None, deadline: float):
+        """Wait for the detached worker until ``deadline``, then drop what it holds."""
         if thread is not None:
             thread.join(max(0.0, deadline - time.monotonic()))
         with self._cond:
@@ -483,8 +491,10 @@ class Bus:
                 runtime.deactivate()
             deadline = time.monotonic() + timeout
             drained = all(runtime.drain(deadline) for runtime in self._routes.values())
-            for runtime in self._routes.values():
-                runtime.shutdown(deadline)
+            # every worker is told to end before any is waited for
+            detached = [(runtime, runtime.detach()) for runtime in self._routes.values()]
+            for runtime, thread in detached:
+                runtime.join(thread, deadline)
             self._running = False
             logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
 

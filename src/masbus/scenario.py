@@ -20,10 +20,23 @@ iv.  the hired carrier publishes tracking waypoints on the in-process
 v.   on the ``near_destination`` signal, ``delivery_agent`` tells
      ``DummyCustomerAgent``, whose route ends in the chat transcript.
 
-The run watches one thing, the bus: stages i, iii, iv and v are read from
-deliveries on the named routes ``plc-in``, ``supplier-<name>``, ``track``
-and ``customer``, through a single delivery listener. Stage ii is the ERP
-stub answering the checkout, and ``delivery_agent`` stamps the
+Each stage is stamped after the operation that defines it and before
+anything it causes:
+
+* i when ``production_agent`` perceives the ``plc`` status, before it
+  checks the order out;
+* ii when the ERP stub answers the checkout;
+* iii at the delivery of the hire on the ``supplier-<name>`` route, which
+  writes the hire's chat row;
+* iv when ``delivery_agent`` first perceives ``distanceKm``, which is
+  queued ahead of any ``near_destination`` of the same waypoint;
+* v at the delivery on the ``customer`` route.
+
+Stages iii and v are read through one bus delivery listener, which also
+paces simulated waypoints by the ``track`` deliveries. A delivery listener
+runs after the delivery's effects have begun (the ``plc-in`` and ``track``
+operations have queued their percepts by then), so stages i and iv are not
+read from deliveries. ``delivery_agent`` also stamps the
 ``near_destination`` signal when it perceives it.
 
 With ``simulated=True`` waypoint publishing runs in lockstep with artifact
@@ -264,7 +277,9 @@ def _quotes_template() -> ArtifactTemplate:
 # -- agent behaviors -------------------------------------------------------------
 
 
-def _production_behavior(cfg: ScenarioConfig) -> AgentBehavior:
+def _production_behavior(cfg: ScenarioConfig, on_done: Callable[[], None]) -> AgentBehavior:
+    """Checks the order out on the first ``plc`` status, after ``on_done()``."""
+
     def initial(ctx):
         return [ctx.focus("plc"), ctx.focus("erp")]
 
@@ -276,6 +291,7 @@ def _production_behavior(cfg: ScenarioConfig) -> AgentBehavior:
             and not ctx.state.get("checked_out")
         ):
             ctx.state["checked_out"] = True
+            on_done()
             return [ctx.op("erp", "checkout", [structure("product", [Number(cfg.seed)])])]
         if (
             isinstance(percept, PropertyChanged)
@@ -331,14 +347,24 @@ def _distribution_behavior() -> AgentBehavior:
     return AgentBehavior(on_message=on_message, on_percept=on_percept, initial=initial)
 
 
-def _delivery_behavior(on_near: Callable[[], None]) -> AgentBehavior:
-    """Tells the customer on the first ``near_destination``, after ``on_near()``."""
+def _delivery_behavior(
+    on_distance: Callable[[], None], on_near: Callable[[], None]
+) -> AgentBehavior:
+    """Calls ``on_distance()`` on the first ``distanceKm``, and tells the
+    customer on the first ``near_destination``, after ``on_near()``."""
 
     def initial(ctx):
         return [ctx.focus("TrackedArtifact")]
 
     def on_percept(ctx, percept):
         if (
+            isinstance(percept, PropertyChanged)
+            and percept.prop == "distanceKm"
+            and not ctx.state.get("tracking")
+        ):
+            ctx.state["tracking"] = True
+            on_distance()
+        elif (
             isinstance(percept, SignalPercept)
             and percept.label == "near_destination"
             and not ctx.state.get("notified")
@@ -398,12 +424,9 @@ class _Run:
             logger.info("scenario stage %s reached", stage)
 
     def _on_delivery(self, exchange, route_id: str, endpoint: str):
-        # stages i, iii, iv and v each end in a delivery on a named route
+        # stages iii and v each end in a delivery on a named route
         if route_id == "track":
-            self._mark("iv")
             self.give_distance_done.release()
-        elif route_id == "plc-in":
-            self._mark("i")
         elif route_id == "customer":
             self._mark("v")
         elif route_id.startswith("supplier-"):
@@ -446,9 +469,13 @@ class _Run:
         bus.register_alias("mqtt", "mqttlite")
         bus.add_delivery_listener(self._on_delivery)
 
-        registry.spawn_agent("production_agent", _production_behavior(cfg))
+        registry.spawn_agent(
+            "production_agent", _production_behavior(cfg, lambda: self._mark("i"))
+        )
         registry.spawn_agent("distribution_agent", _distribution_behavior())
-        registry.spawn_agent("delivery_agent", _delivery_behavior(self._on_near))
+        registry.spawn_agent(
+            "delivery_agent", _delivery_behavior(lambda: self._mark("iv"), self._on_near)
+        )
 
         erp = f"httplite:127.0.0.1:{self.erp_stub.address[1]}"
         quotes = f"httplite:127.0.0.1:{self.quotes_stub.address[1]}"

@@ -234,6 +234,26 @@ def test_artifact_op_failure_notifies_acting_agent():
     reg.stop()
 
 
+def test_failed_operations_of_an_agent_without_on_percept_queue_nothing():
+    env = Environment()
+    env.create_artifact("main", "c", counter_template())
+    reg = AgentRegistry(env)
+    handled = []
+
+    def on_message(ctx, message):
+        handled.append(message)
+        return [ctx.op("c", "nosuch")]
+
+    reg.spawn_agent("clumsy", AgentBehavior(on_message=on_message))
+    for i in range(1000):
+        reg.send_message(AclMessage("x", "clumsy", Performative.TELL, Number(i)))
+    assert wait_for(lambda: len(handled) == 1000)
+    # nothing would ever take an operation_failed percept of this agent
+    assert env.poll_percept("clumsy") is None
+    assert [entry.status for entry in env.operation_log()] == ["unknown_operation"] * 1000
+    reg.stop()
+
+
 def test_agent_log_effect():
     reg = AgentRegistry()
     reg.spawn_agent(

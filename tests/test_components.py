@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import http.client
+import http.server
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masbus import (
     AclMessage,
@@ -23,6 +27,7 @@ from masbus import (
     tracker_template,
 )
 from masbus.components import register_builtin_components
+from masbus.components.httplite import serve_http
 from masbus.errors import (
     ConsumerUnsupportedError,
     MissingParamError,
@@ -404,6 +409,18 @@ def test_tcpline_deeply_nested_line_is_admitted_as_text(stack):
     assert [ex.body for ex in collector.exchanges()] == [String(deep), Number(1)]
 
 
+def test_tcpline_undecodable_line_spares_its_neighbours(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    with socket.create_connection(bus.consumer("in").address) as conn:
+        conn.sendall(b"a\n\xff\xfe\nb\nc\n")
+    assert wait_for(lambda: len(collector.exchanges()) == 4)
+    assert [ex.body for ex in collector.exchanges()] == [
+        Atom("a"), String("\\xff\\xfe"), Atom("b"), Atom("c"),
+    ]
+
+
 def test_tcpline_producer_connection_refused_dead_letters(stack):
     bus, _, _, _, _ = stack
     with socket.socket() as probe:
@@ -438,8 +455,6 @@ def test_tcpline_bind_conflict_fails_start(stack):
 
 
 def test_httplite_consumer_maps_requests_to_exchanges(stack):
-    import http.client
-
     bus, _, _, _, collector = stack
     bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
     bus.start()
@@ -458,8 +473,6 @@ def test_httplite_consumer_maps_requests_to_exchanges(stack):
 
 
 def test_httplite_consumer_ends_kept_alive_connection_at_stop(stack):
-    import http.client
-
     bus, _, _, _, collector = stack
     bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
     bus.start()
@@ -483,8 +496,6 @@ def test_httplite_consumer_ends_kept_alive_connection_at_stop(stack):
     ids=["negative", "text", "utf8", "short"],
 )
 def test_httplite_consumer_answers_400_to_unreadable_body(stack, length, body):
-    import http.client
-
     bus, _, _, _, collector = stack
     bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
     bus.start()
@@ -509,9 +520,177 @@ def test_httplite_consumer_answers_400_to_unreadable_body(stack, length, body):
     assert [ex.body for ex in collector.exchanges()] == [Structure("f", (Number(1),))]
 
 
-def test_httplite_producer_posts_and_routes_reply(stack):
-    from masbus.components.httplite import serve_http
+def _post(address, body: bytes = b"f(1)") -> int:
+    """Status of one POST on a new connection."""
+    conn = http.client.HTTPConnection(*address, timeout=5.0)
+    try:
+        conn.request("POST", "/hook", body=body)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
 
+
+def _send_and_read_to_close(address, data: bytes) -> bytes:
+    """Send ``data``, end the write side and read until the server closes."""
+    with socket.create_connection(address, timeout=5.0) as raw:
+        raw.sendall(data)
+        raw.shutdown(socket.SHUT_WR)
+        with raw.makefile("rb") as reader:
+            return reader.read()
+
+
+def test_serve_http_answers_kept_alive_requests_without_delay():
+    received = []
+
+    def respond(method, path, text):
+        received.append(text)
+        return 200, f"ok {text}"
+
+    server = serve_http(("127.0.0.1", 0), respond, "keep-alive-stub")
+    conn = http.client.HTTPConnection(*server.address, timeout=5.0)
+    try:
+        replies = []
+        started = time.perf_counter()
+        for i in range(50):
+            conn.request("POST", "/hook", body=str(i).encode())
+            if i == 0:
+                sock = conn.sock
+            response = conn.getresponse()
+            replies.append((response.status, response.read()))
+        elapsed = time.perf_counter() - started
+        assert conn.sock is sock  # every request went over the first connection
+    finally:
+        conn.close()
+        server.close()
+    # a head and a body written apart wait out a delayed ACK, ~40 ms each
+    assert elapsed < 0.5
+    assert replies == [(200, f"ok {i}".encode()) for i in range(50)]
+    assert received == [str(i) for i in range(50)]
+
+
+def test_serve_http_answers_expect_continue_and_closes_when_asked():
+    received = []
+
+    def respond(method, path, text):
+        received.append(text)
+        return 200, ""
+
+    server = serve_http(("127.0.0.1", 0), respond, "continue-stub")
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as raw:
+            raw.sendall(b"POST /a HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n")
+            assert raw.recv(100) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            raw.sendall(b"abc")
+            assert raw.recv(100).startswith(b"HTTP/1.1 200 ")
+        for request in (
+            b"GET /b HTTP/1.0\r\n\r\n",
+            b"GET /c HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ):
+            reply = _send_and_read_to_close(server.address, request + request)
+            # one answer, then the connection ends: the repeat is never served
+            assert reply.count(b"HTTP/1.1 200 ") == 1
+    finally:
+        server.close()
+    assert received == ["abc", "", ""]
+
+
+@pytest.mark.parametrize(
+    "data, status",
+    [
+        (b"DELETE /hook HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"POST /hook HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"POST /hook HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+        (b"\x16\x03\x01\x02\x00 garbage\r\n\r\n", 400),
+    ],
+    ids=["method", "long-request-line", "long-header", "many-headers", "garbage"],
+)
+def test_httplite_consumer_answers_and_closes_on_bad_requests(stack, data, status):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+    # the reply is read to the end: the server closed the connection
+    assert _send_and_read_to_close(address, data).startswith(b"HTTP/1.1 %d " % status)
+    assert _post(address) == 200
+    assert wait_for(lambda: collector.exchanges())
+    assert [ex.body for ex in collector.exchanges()] == [Structure("f", (Number(1),))]
+
+
+def test_serve_http_survives_random_byte_streams():
+    server = serve_http(("127.0.0.1", 0), lambda method, path, text: (200, ""), "fuzz-stub")
+    try:
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.binary(max_size=400))
+        def check(data):
+            try:
+                _send_and_read_to_close(server.address, data)
+            except ConnectionResetError:
+                pass  # a close with unread input resets the connection
+            assert server._thread.is_alive()
+            assert _post(server.address) == 200
+
+        check()
+    finally:
+        server.close()
+
+
+class _ChunkedReply(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        for chunk in (b"f(", b"1, ", b"two)"):
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+        self.wfile.write(b"0\r\n\r\n")
+
+    def log_message(self, *args):
+        pass
+
+
+class _ReplyUntilClose(_ChunkedReply):
+    protocol_version = "HTTP/1.0"  # no length: the reply ends with the connection
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.end_headers()
+        self.wfile.write(b"f(1, two)")
+
+
+@pytest.mark.parametrize("handler", [_ChunkedReply, _ReplyUntilClose], ids=["chunked", "eof"])
+def test_httplite_producer_routes_replies_of_every_framing(stack, handler):
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    serving = threading.Thread(target=server.handle_request, daemon=True)
+    serving.start()
+    try:
+        bus, _, _, _, collector = stack
+        port = server.server_address[1]
+        bus.add_route(
+            RouteDefinition(
+                "r", "direct:in", (), (f"httplite:127.0.0.1:{port}/x?replyTo=reply",)
+            )
+        )
+        bus.add_route(RouteDefinition("reply", "direct:reply-src", (), ("collect:y",)))
+        bus.start()
+        bus.process_exchange("r", bus.new_exchange(body=Atom("order")))
+        assert wait_for(lambda: collector.exchanges())
+        (reply,) = collector.exchanges()
+        assert reply.body == Structure("f", (Number(1), Atom("two")))
+        assert bus.dead_letters() == ()
+    finally:
+        serving.join(5.0)
+        server.server_close()
+    assert not serving.is_alive()
+
+
+def test_httplite_producer_posts_and_routes_reply(stack):
     received = []
 
     def respond(method, path, text):

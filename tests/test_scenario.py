@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from masbus import ScenarioConfig, ScenarioReport, assert_report, run_scenario
+from masbus import Bus, ScenarioConfig, ScenarioReport, assert_report, run_scenario
 from masbus.errors import ScenarioConfigError, StageTimeoutError
 from masbus.scenario import STAGES
 from conftest import wait_for
@@ -117,6 +117,36 @@ def test_generated_configs_pass_under_frequent_thread_switches():
             assert assert_report(report, cfg) == [], seed
     finally:
         sys.setswitchinterval(interval)
+
+
+def _slow_delivery_listeners_on(monkeypatch, route_id: str) -> None:
+    """Deliveries on ``route_id`` reach the bus listeners 5 ms late."""
+    notify = Bus._notify_delivery
+
+    def slow(self, exchange, route, endpoint):
+        if route == route_id:
+            time.sleep(0.005)
+        notify(self, exchange, route, endpoint)
+
+    monkeypatch.setattr(Bus, "_notify_delivery", slow)
+
+
+def test_stage_i_is_stamped_before_its_effects_when_the_plc_in_listener_lags(monkeypatch):
+    _slow_delivery_listeners_on(monkeypatch, "plc-in")
+    cfg = nominal_config()
+    report = run_scenario(cfg, simulated=True)
+    assert sorted(STAGES, key=report.stage_timestamps.get) == list(STAGES)
+    assert assert_report(report, cfg) == []
+
+
+def test_stage_iv_is_stamped_before_stage_v_when_the_track_listener_lags(monkeypatch):
+    _slow_delivery_listeners_on(monkeypatch, "track")
+    # the first waypoint is within the threshold: its distance and the
+    # near_destination signal come from one operation
+    cfg = nominal_config(track_waypoints=((0.0, 0.0), (0.0, 0.0)))
+    report = run_scenario(cfg, simulated=True)
+    assert sorted(STAGES, key=report.stage_timestamps.get) == list(STAGES)
+    assert assert_report(report, cfg) == []
 
 
 def test_hire_message_is_read_from_the_supplier_exchange():
