@@ -4,7 +4,8 @@
 connection per exchange and sends one request, the rendered body as
 payload. It reads a reply framed by ``Content-Length``, by chunked transfer
 coding or by the end of the stream; a status of 400 or more, a refused
-connection or an unreadable reply raises, so the exchange is dead-lettered.
+connection, an unreadable reply or a reply body over ``MAX_BODY`` raises, so
+the exchange is dead-lettered.
 When the endpoint carries ``replyTo=<route-id>``, the response body is
 parsed into a new exchange and injected into that route; otherwise the
 response is discarded.
@@ -15,7 +16,8 @@ answered with an empty 200, or 503 once the route no longer admits
 exchanges. Connections are kept alive between requests, and every answer
 is written in one piece. A request body is framed by ``Content-Length``
 only: a length that is not a non-negative integer, a body shorter than it
-or one that is not UTF-8 is answered 400, and a ``Transfer-Encoding`` 501.
+or one that is not UTF-8 is answered 400, a ``Transfer-Encoding`` 501, and
+a length over ``MAX_BODY`` (16 MiB) 413, before any of the body is read.
 The standard library server's limits hold: a request line over 65,536
 bytes is answered 414, a longer header line or more than 100 header lines
 431, a malformed request line 400 and a method other than GET or POST 501.
@@ -37,6 +39,8 @@ from .base import Component, Consumer, Listener, Producer
 # the limits of the standard library's HTTP server
 MAX_LINE = 65_536  # bytes in a start or header line
 MAX_HEADERS = 100  # header lines in one message
+# bytes in a request or reply body; a request over it is answered 413
+MAX_BODY = 16 * 1024 * 1024
 METHODS = ("GET", "POST")
 
 
@@ -78,13 +82,21 @@ def _read_headers(reader) -> dict[str, str]:
     raise HttpMessageError(431, "too many headers")
 
 
+def _within_cap(size: int) -> int:
+    if size > MAX_BODY:
+        raise HttpMessageError(413, f"body of {size} bytes or more, over {MAX_BODY}")
+    return size
+
+
 def _content_length(headers: dict[str, str]) -> int | None:
     length = headers.get("content-length")
     if length is None:
         return None
     if not (length.isascii() and length.isdigit()):
         raise HttpMessageError(400, f"bad Content-Length {length[:80]!r}")
-    return int(length)
+    digits = length.lstrip("0") or "0"
+    # a long number is over the cap, and int() refuses one of 4,300 digits
+    return _within_cap(int(digits) if len(digits) <= 20 else MAX_BODY + 1)
 
 
 def _read_exactly(reader, length: int) -> bytes:
@@ -201,6 +213,7 @@ class _HttpConsumer(Consumer):
 
 def _read_chunked(reader) -> bytes:
     chunks = []
+    total = 0
     while True:
         line = _read_line(reader, 502)
         try:
@@ -210,6 +223,7 @@ def _read_chunked(reader) -> bytes:
         if size == 0:
             _read_headers(reader)  # the trailer
             return b"".join(chunks)
+        total = _within_cap(total + size)
         chunks.append(_read_exactly(reader, size))
         if _read_line(reader, 502) not in (b"\r\n", b"\n"):
             raise HttpMessageError(502, "chunk not followed by a line end")
@@ -232,7 +246,11 @@ def _read_response(reader) -> tuple[int, bytes]:
     if "chunked" in headers.get("transfer-encoding", "").lower():
         return status, _read_chunked(reader)
     length = _content_length(headers)
-    return status, reader.read() if length is None else _read_exactly(reader, length)
+    if length is None:
+        data = reader.read(MAX_BODY + 1)
+        _within_cap(len(data))
+        return status, data
+    return status, _read_exactly(reader, length)
 
 
 class _HttpProducer(Producer):

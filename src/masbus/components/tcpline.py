@@ -4,8 +4,11 @@ Wire format: UTF-8 text, one message per ``\\n``-terminated line. The
 consumer listens and emits one exchange per received line, each line
 decoded on its own: a line that is not UTF-8 is admitted as a string term
 of its text with every undecodable byte written as ``\\xNN``, and the lines
-around it are admitted as usual. The producer opens a connection per send
-and writes the rendered body plus newline.
+around it are admitted as usual. A line of more than ``MAX_LINE`` bytes
+(64 KiB, its newline included) is discarded up to its newline with a logged
+warning, never held whole, and the lines around it are admitted. The
+producer opens a connection per send and writes the rendered body plus
+newline.
 Binding to port 0 picks a free port; the bound address is exposed on the
 consumer as ``address``.
 """
@@ -21,6 +24,8 @@ from ..uris import format_uri
 from .base import Component, Consumer, Listener, Producer
 
 logger = logging.getLogger(__name__)
+
+MAX_LINE = 65_536  # bytes in a line with its newline; a longer line is discarded
 
 
 def _host_port(uri) -> tuple[str, int]:
@@ -48,11 +53,20 @@ class _TcpLineConsumer(Consumer):
             self._listener.close()
             self._listener = None
 
-    def _read_lines(self, conn: socket.socket, _address):
+    def _read_lines(self, conn: socket.socket, address):
         with conn.makefile("rb") as reader:
-            for line in reader:
-                if self._stopping:
+            while True:
+                line = reader.readline(MAX_LINE + 1)
+                if not line or self._stopping:
                     return
+                if len(line) > MAX_LINE:
+                    while line and not line.endswith(b"\n"):
+                        line = reader.readline(MAX_LINE + 1)
+                    logger.warning(
+                        "tcpline %s: discarded a line over %d bytes from %s",
+                        self.ctx.route_id, MAX_LINE, address,
+                    )
+                    continue
                 line = line.rstrip(b"\n")
                 if not line:
                     continue

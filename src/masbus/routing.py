@@ -8,8 +8,8 @@ endpoints that receive the processed exchange, in declaration order.
 Delivery guarantees:
 
 * exactly-once per (exchange, producer) pair absent errors;
-* per-route FIFO: exchanges admitted by a route's consumer are processed in
-  creation order by a single worker;
+* per-route FIFO: exchanges admitted by a route's consumer are processed one
+  at a time, in creation order;
 * failures never crash a route: a failing transform or producer diverts the
   exchange to the bus dead-letter log and the route keeps running;
 * ``stop`` is bounded: exchanges not finished by its drain deadline are
@@ -18,7 +18,18 @@ Delivery guarantees:
 ``add_route`` and ``start`` are mutually exclusive with exchange processing:
 they close a gate that stops workers taking exchanges and wait out the ones
 taken, so no route of a ``start`` sends before every route is bound. ``stop``
-drains while processing goes on. Distinct routes process concurrently.
+drains while processing goes on.
+
+Routes share one elastic worker pool per bus. A route that admits an
+exchange while no worker serves it gets the most recently parked worker,
+and the bus starts a new worker thread only when every worker is busy: a
+busy route never waits for another, so distinct routes process
+concurrently. A worker keeps its route until the route's queue is empty,
+then parks; while it serves a route its thread is named ``route-<id>``.
+``start`` readies one parked worker. No worker outlives ``stop``, except
+one stuck in a producer past the drain deadline, which ends once the
+producer returns and serves nothing again.
+
 ``deliveries()`` keeps the latest ``DELIVERY_LOG_SIZE`` records; the
 ``delivered`` count of ``report()`` is exact.
 """
@@ -51,6 +62,8 @@ logger = logging.getLogger(__name__)
 
 # delivery records kept by a bus; older ones are only counted
 DELIVERY_LOG_SIZE = 10_000
+# name of a pool worker that serves no route; a serving one is route-<id>
+PARKED_THREAD_NAME = "route-pool-parked"
 
 
 @dataclass
@@ -160,30 +173,109 @@ class RouteContext:
         return self._runtime.emit(exchange)
 
 
+class _Worker:
+    """A pool thread and the route it serves, or None once it is told to end.
+
+    The worker takes ``wake`` before each route; whoever hands it a route
+    releases ``wake``, before or after the worker blocks on it. A worker
+    made without a route starts parked.
+    """
+
+    __slots__ = ("route", "wake", "thread")
+
+    def __init__(self, route: "_RouteRuntime | None"):
+        self.route = route
+        self.wake = threading.Lock()
+        if route is None:
+            self.wake.acquire()
+        name = PARKED_THREAD_NAME if route is None else route.thread_name
+        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
+
+    def _run(self):
+        while True:
+            self.wake.acquire()
+            if self.route is None or not self.route._serve(self):
+                return
+
+
+class _WorkerPool:
+    """The route workers of one bus, grown only when every worker is busy.
+
+    A route that admits an exchange while it has no worker gets the most
+    recently parked one, or a new thread when none is parked; the worker
+    keeps the route until its queue is empty and then parks. So the pool
+    never holds more workers than routes were ever busy at once. Callers
+    hold the route's condition; ``list.append`` and ``list.pop`` are atomic,
+    so the pool needs no lock of its own.
+    """
+
+    def __init__(self):
+        self._parked: list[_Worker] = []
+        self._workers: list[_Worker] = []
+
+    def dispatch(self, route: "_RouteRuntime") -> _Worker:
+        try:
+            worker = self._parked.pop()
+        except IndexError:
+            return self._start(_Worker(route))
+        worker.route = route
+        worker.wake.release()
+        return worker
+
+    def ready(self):
+        """Start one parked worker, so the first exchange need not wait for a thread."""
+        self._parked.append(self._start(_Worker(None)))
+
+    def _start(self, worker: _Worker) -> _Worker:
+        worker.thread.start()
+        self._workers.append(worker)
+        return worker
+
+    def park(self, worker: _Worker):
+        worker.thread.name = PARKED_THREAD_NAME
+        self._parked.append(worker)
+
+    def close(self, deadline: float):
+        """End the parked workers and wait for all until ``deadline``.
+
+        Call once no route has a worker: a detached worker ends by itself
+        when its exchange returns.
+        """
+        parked, self._parked = self._parked, []
+        workers, self._workers = self._workers, []
+        for worker in parked:
+            worker.route = None
+            worker.wake.release()
+        for worker in workers:
+            worker.thread.join(max(0.0, deadline - time.monotonic()))
+
+
 class _RouteRuntime:
-    """One route's consumer, processors, producers and worker thread.
+    """One route's consumer, processors and producers, served by a pool worker.
 
     One condition guards everything the route knows about its exchanges: the
     deque of admitted exchanges, ``_current`` (the exchange the worker took)
-    with its staged delivery records, the admission count and whether the
-    consumer is still accepting.
+    with its staged delivery records, ``_worker`` (the pool worker serving
+    the route, None while the route is idle), the admission count and
+    whether the consumer is still accepting.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
         self.bus = bus
         self.definition = definition
         self.route_id = definition.route_id
+        self.thread_name = f"route-{self.route_id}"
         self.from_endpoint = format_uri(definition.from_uri)
         self._cond = threading.Condition()
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
         self._staged: list[DeliveryRecord] = []
+        self._worker: _Worker | None = None
         self.admitted = 0
         self._accepting = False
         self.consumer = None
         self.producers: list[tuple[str, object]] = []
         self._transforms: dict[str, object] = {}
-        self._thread: threading.Thread | None = None
 
     def start(self):
         try:
@@ -198,13 +290,10 @@ class _RouteRuntime:
             component = self.bus.component_for(from_uri.scheme)
             self.consumer = component.create_consumer(RouteContext(self, from_uri))
             self._accepting = True
-            self._thread = threading.Thread(
-                target=self._work, name=f"route-{self.route_id}", daemon=True
-            )
-            self._thread.start()
             self.consumer.start()
         except Exception:
-            self.shutdown(time.monotonic())
+            self.detach()
+            self.release()
             raise
         logger.debug("route %s started", self.route_id)
 
@@ -228,25 +317,18 @@ class _RouteRuntime:
         with self._cond:
             return self._cond.wait_for(self.idle, deadline - time.monotonic())
 
-    def shutdown(self, deadline: float):
-        """Detach the worker; whatever it has not finished by ``deadline`` is dropped."""
-        self.join(self.detach(), deadline)
-
-    def detach(self) -> threading.Thread | None:
-        """Drop the queued exchanges and tell the worker to end; returns it."""
+    def detach(self):
+        """Drop the queued exchanges and tell the route's worker to end."""
         with self._cond:
             self._accepting = False
             for exchange in self._queue:
                 self.bus._record_dropped(self.route_id, exchange)
             self._queue.clear()
-            thread, self._thread = self._thread, None
+            self._worker = None
             self._cond.notify_all()
-        return thread
 
-    def join(self, thread: threading.Thread | None, deadline: float):
-        """Wait for the detached worker until ``deadline``, then drop what it holds."""
-        if thread is not None:
-            thread.join(max(0.0, deadline - time.monotonic()))
+    def release(self):
+        """Drop what a detached worker still holds and stop the producers."""
         with self._cond:
             # the worker is stuck past the deadline: its deliveries so far
             # stay recorded, and once its exchange is recorded as dropped
@@ -271,32 +353,41 @@ class _RouteRuntime:
         with self._cond:
             if not self._accepting:
                 return False
-            if not self._queue:
-                self._cond.notify_all()
+            if self._worker is None:
+                self._worker = self.bus._pool.dispatch(self)
             self._queue.append(exchange)
             self.admitted += 1
         return True
 
-    def _work(self):
-        me = threading.current_thread()
+    def _serve(self, worker: _Worker) -> bool:
+        """Process exchanges on ``worker`` until the queue is empty.
+
+        True once the worker parked; False when ``detach`` took the route
+        from it, after which it serves nothing again.
+        """
+        worker.thread.name = self.thread_name
         bus = self.bus
         taken = None
         staged: list[DeliveryRecord] = []
         while True:
             with self._cond:
-                # otherwise shutdown dropped ``taken`` and detached this worker
-                if self._current is taken:
+                # otherwise detach dropped ``taken`` and took the route
+                if taken is not None and self._current is taken:
                     self._current = None
                     if staged:
                         bus._commit_deliveries(staged)
                     if not (self._queue and bus._open):
                         self._cond.notify_all()
-                while not (self._queue and bus._open) and self._thread is me:
+                while self._queue and not bus._open and self._worker is worker:
                     self._cond.wait()
-                if self._thread is not me:
-                    return
+                if self._worker is not worker:
+                    return False
+                if not self._queue:
+                    self._worker = None
+                    bus._pool.park(worker)
+                    return True
                 taken = self._current = self._queue.popleft()
-                # shutdown commits these itself if it drops ``taken``
+                # release commits these itself if it drops ``taken``
                 staged = self._staged = []
             try:
                 self._process(taken, staged)
@@ -304,7 +395,7 @@ class _RouteRuntime:
                 logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
 
     def _record(self, taken: Exchange, record, *args) -> bool:
-        """Call ``record(route_id, *args)`` unless shutdown has dropped ``taken``."""
+        """Call ``record(route_id, *args)`` unless stop has dropped ``taken``."""
         with self._cond:
             if self._current is not taken:
                 return False
@@ -327,7 +418,7 @@ class _RouteRuntime:
                 self._record(taken, dead_letter, "transform", None, err, exchange)
                 return
         for endpoint, producer in self.producers:
-            # shutdown dropped the exchange: it reaches no later producer
+            # stop dropped the exchange: it reaches no later producer
             if self._current is not taken:
                 return
             try:
@@ -365,6 +456,7 @@ class Bus:
         self._aliases: dict[str, str] = {}
         self._transforms: dict[str, object] = {}
         self._routes: dict[str, _RouteRuntime] = {}
+        self._pool = _WorkerPool()
         self._admin = threading.RLock()
         self._open = True  # workers take exchanges only while it is set
         self._running = False
@@ -472,10 +564,12 @@ class Bus:
                 try:
                     for runtime in self._routes.values():
                         runtime.start()
+                    if self._routes:
+                        self._pool.ready()
                 except Exception:
                     for runtime in self._routes.values():
                         runtime.deactivate()
-                        runtime.shutdown(time.monotonic())
+                    self._end_workers(time.monotonic())
                     raise
             self._running = True
             logger.info("bus %s started with %d routes", self.run_id, len(self._routes))
@@ -491,12 +585,19 @@ class Bus:
                 runtime.deactivate()
             deadline = time.monotonic() + timeout
             drained = all(runtime.drain(deadline) for runtime in self._routes.values())
-            # every worker is told to end before any is waited for
-            detached = [(runtime, runtime.detach()) for runtime in self._routes.values()]
-            for runtime, thread in detached:
-                runtime.join(thread, deadline)
+            self._end_workers(deadline)
             self._running = False
             logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
+
+    def _end_workers(self, deadline: float):
+        """Drop what is queued, end every worker (waiting until ``deadline``),
+        then drop what a worker still stuck holds."""
+        # every worker is told to end before any is waited for
+        for runtime in self._routes.values():
+            runtime.detach()
+        self._pool.close(deadline)
+        for runtime in self._routes.values():
+            runtime.release()
 
     @contextmanager
     def _gate_closed(self):

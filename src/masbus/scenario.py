@@ -140,7 +140,8 @@ class ScenarioConfig:
     def from_json(text: str) -> "ScenarioConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        # ValueError also covers integers past int()'s digit limit
+        except (ValueError, RecursionError) as err:
             raise ScenarioConfigError(f"config is not valid JSON: {err}") from None
         try:
             return ScenarioConfig(
@@ -154,7 +155,7 @@ class ScenarioConfig:
                 chat_id=str(data.get("chat_id", "-364531")),
                 stage_timeout_s=float(data.get("stage_timeout_s", 10.0)),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (LookupError, TypeError, ValueError, OverflowError) as err:
             raise ScenarioConfigError(f"bad config field: {err}") from None
 
 

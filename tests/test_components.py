@@ -26,7 +26,7 @@ from masbus import (
     counter_template,
     tracker_template,
 )
-from masbus.components import register_builtin_components
+from masbus.components import httplite, register_builtin_components, tcpline
 from masbus.components.httplite import serve_http
 from masbus.errors import (
     ConsumerUnsupportedError,
@@ -421,6 +421,49 @@ def test_tcpline_undecodable_line_spares_its_neighbours(stack):
     ]
 
 
+def test_tcpline_over_long_line_is_discarded_and_spares_its_neighbours(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    with socket.create_connection(bus.consumer("in").address) as conn:
+        conn.sendall(b"1\n" + b"a" * 200_000 + b"\n2\n")
+    assert wait_for(lambda: len(collector.exchanges()) == 2)
+    assert [ex.body for ex in collector.exchanges()] == [Number(1), Number(2)]
+
+
+def test_tcpline_line_cap_counts_the_newline(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    fits = "a" * (tcpline.MAX_LINE - 1)
+    with socket.create_connection(bus.consumer("in").address) as conn:
+        conn.sendall(f"{fits}\n{fits}b\n2\n".encode())
+    assert wait_for(lambda: len(collector.exchanges()) == 2)
+    assert [ex.body for ex in collector.exchanges()] == [Atom(fits), Number(2)]
+
+
+def test_tcpline_survives_random_byte_streams(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+    sent = 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=400))
+    def check(data):
+        nonlocal sent
+        sent += 1
+        marker = Atom(f"after{sent}")
+        with socket.create_connection(address, timeout=5.0) as conn:
+            conn.sendall(data)
+            # the same connection still admits a valid line
+            conn.sendall(f"\n{marker.name}\n".encode())
+            assert wait_for(lambda: marker in [ex.body for ex in collector.exchanges()])
+
+    check()
+
+
 def test_tcpline_producer_connection_refused_dead_letters(stack):
     bus, _, _, _, _ = stack
     with socket.socket() as probe:
@@ -604,8 +647,13 @@ def test_serve_http_answers_expect_continue_and_closes_when_asked():
         (b"POST /hook HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
         (b"POST /hook HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
         (b"\x16\x03\x01\x02\x00 garbage\r\n\r\n", 400),
+        (b"POST /hook HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n", 413),
+        (b"POST /hook HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n", 413),
     ],
-    ids=["method", "long-request-line", "long-header", "many-headers", "garbage"],
+    ids=[
+        "method", "long-request-line", "long-header", "many-headers", "garbage",
+        "huge-body", "endless-length",
+    ],
 )
 def test_httplite_consumer_answers_and_closes_on_bad_requests(stack, data, status):
     bus, _, _, _, collector = stack
@@ -688,6 +736,57 @@ def test_httplite_producer_routes_replies_of_every_framing(stack, handler):
         serving.join(5.0)
         server.server_close()
     assert not serving.is_alive()
+
+
+class _OversizedReply(http.server.BaseHTTPRequestHandler):
+    """Answers with ``reply``, written as is; HTTP/1.0 closes after it."""
+
+    reply = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.wfile.write(self.reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\nabcdefghijk",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"6\r\nabcdef\r\n6\r\nghijkl\r\n0\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\n\r\nabcdefghijk",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n",
+    ],
+    ids=["length", "chunked", "eof", "announced"],
+)
+def test_httplite_producer_dead_letters_a_reply_over_the_body_cap(stack, monkeypatch, reply):
+    monkeypatch.setattr(httplite, "MAX_BODY", 10)
+    handler = type("Handler", (_OversizedReply,), {"reply": reply})
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    serving = threading.Thread(target=server.handle_request, daemon=True)
+    serving.start()
+    try:
+        bus, _, _, _, collector = stack
+        port = server.server_address[1]
+        bus.add_route(
+            RouteDefinition(
+                "r", "direct:in", (), (f"httplite:127.0.0.1:{port}/x?replyTo=reply",)
+            )
+        )
+        bus.add_route(RouteDefinition("reply", "direct:reply-src", (), ("collect:y",)))
+        bus.start()
+        bus.process_exchange("r", bus.new_exchange(body=Atom("order")))
+        assert bus.wait_until_idle(10.0)
+        (entry,) = bus.dead_letters()
+        assert entry.kind == "producer"
+        assert entry.error.startswith("HttpMessageError: body of ")
+        assert collector.exchanges() == []
+    finally:
+        serving.join(5.0)
+        server.server_close()
 
 
 def test_httplite_producer_posts_and_routes_reply(stack):

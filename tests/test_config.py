@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masbus import (
     Atom,
@@ -247,3 +248,22 @@ def test_builder_equivalent_of_generated_routes():
         for uri in definition.to_uris:
             builder.to(uri)
         assert builder.build() == definition
+
+
+# pieces of route files, so generated text gets past the XML parser
+_ROUTE_FILE_PIECES = st.sampled_from([
+    "<routes>", "</routes>", "<route>", "<route id='r'>", "</route>", "<from uri='direct:a'/>",
+    "<from uri='::'/>", "<from/>", "<to uri='x:y?a=1'/>", "<to uri='x:y?a'/>",
+    "<setHeader name='h'><constant>f(1)</constant></setHeader>", "<constant>",
+    "</constant>", "<transform name='t'/>", "<alias scheme='mq' component='mqttlite'/>",
+    "<bogus/>", "text", "&amp;", "&bad;", "<!-- c -->", "<?xml version='1.0'?>", "'", "<",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_ROUTE_FILE_PIECES, max_size=12).map("".join)))
+def test_parse_route_file_raises_only_route_config_errors(text):
+    try:
+        parse_route_file(text)
+    except RouteConfigError:
+        pass

@@ -198,6 +198,130 @@ def test_stop_keeps_deliveries_made_before_the_drop():
     assert [ex.body for ex in collector.exchanges()] == [Number(1)]
 
 
+def test_a_route_stuck_in_its_producer_does_not_delay_another_route():
+    bus = Bus()
+    blocking = _BlockingComponent()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("a", "direct:a", (), ("block:y",)))
+    bus.add_route(RouteDefinition("b", "direct:b", (), ("collect:z",)))
+    bus.start()
+    try:
+        bus.process_exchange("a", bus.new_exchange(body=Number(1)))
+        assert blocking.entered.wait(2.0)
+        bus.process_exchange("b", bus.new_exchange(body=Number(2)))
+        # the pool grows a worker for b instead of waiting for a's
+        assert wait_for(collector.exchanges, timeout=1.0)
+        assert not blocking.returned.is_set()
+        assert [ex.body for ex in collector.exchanges()] == [Number(2)]
+    finally:
+        blocking.release.set()
+        bus.stop()
+    assert bus.dropped() == ()
+
+
+class _FeedOnStartConsumer(Consumer):
+    def start(self):
+        for i in range(3):
+            self.ctx.emit(self.ctx.new_exchange(body=Number(i)))
+
+
+class _FeedOnStartComponent(Component):
+    def create_consumer(self, ctx):
+        return _FeedOnStartConsumer(ctx)
+
+
+def test_start_holds_exchanges_admitted_before_later_routes_bind():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("feed", _FeedOnStartComponent())
+    bus.register_component("collect", collector)
+    # a admits while it starts, before b binds direct:b
+    bus.add_route(RouteDefinition("a", "feed:x", (), ("direct:b",)))
+    bus.add_route(RouteDefinition("b", "direct:b", (), ("collect:sink",)))
+    bus.start()
+    try:
+        assert bus.wait_until_idle(2.0)
+    finally:
+        bus.stop()
+    assert bus.dead_letters() == ()
+    assert [ex.body.value for ex in collector.exchanges()] == [0, 1, 2]
+
+
+def test_worker_pool_grows_to_the_routes_busy_at_once_and_ends_at_stop(monkeypatch):
+    started = []
+    thread_start = threading.Thread.start
+
+    def recording_start(thread):
+        if thread.name.startswith("route-"):
+            started.append(thread)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", collector)
+    for i in range(10):
+        to = f"direct:h{i + 1}" if i < 9 else "collect:sink"
+        bus.add_route(RouteDefinition(f"r{i}", f"direct:h{i}", (), (to,)))
+    bus.start()
+    try:
+        # one exchange at a time: at most a sending and a receiving route are busy
+        for i in range(50):
+            bus.process_exchange("r0", bus.new_exchange(body=Number(i)))
+            assert bus.wait_until_idle(2.0)
+    finally:
+        bus.stop()
+    assert [ex.body.value for ex in collector.exchanges()] == list(range(50))
+    assert 1 <= len(started) <= 3, [t.name for t in started]
+    assert not [t for t in started if t.is_alive()]
+
+
+def test_worker_pool_keeps_fifo_and_exactly_once_under_frequent_thread_switches():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", collector)
+    # six fed routes fan in to two: workers park and are handed on constantly
+    for i in range(6):
+        bus.add_route(RouteDefinition(f"a{i}", f"direct:a{i}", (), (f"direct:b{i % 2}",)))
+    for j in range(2):
+        bus.add_route(RouteDefinition(f"b{j}", f"direct:b{j}", (), ("collect:sink",)))
+    before = set(threading.enumerate())
+
+    def feed(i):
+        for k in range(100):
+            bus.process_exchange(f"a{i}", bus.new_exchange(body=Number(i * 1000 + k)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cycle in range(3):
+            bus.start()
+            feeders = [threading.Thread(target=feed, args=(i,)) for i in range(6)]
+            for feeder in feeders:
+                feeder.start()
+            for feeder in feeders:
+                feeder.join(10.0)
+            assert not [f for f in feeders if f.is_alive()]
+            assert bus.wait_until_idle(10.0)
+            bus.stop()
+            assert set(threading.enumerate()) <= before, cycle
+    finally:
+        sys.setswitchinterval(interval)
+    bodies = [ex.body.value for ex in collector.exchanges()]
+    for i in range(6):
+        # each feeder's exchanges arrive once per cycle, in the order fed
+        assert [b for b in bodies if b // 1000 == i] == list(range(i * 1000, i * 1000 + 100)) * 3
+    assert bus.report()["delivered"] == 3 * 2 * 600
+    assert bus.dead_letters() == ()
+    assert bus.dropped() == ()
+
+
 def test_delivery_log_keeps_the_newest_records_and_an_exact_count():
     bus = Bus()
     collector = CollectorComponent()

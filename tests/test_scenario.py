@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masbus import Bus, ScenarioConfig, ScenarioReport, assert_report, run_scenario
 from masbus.errors import ScenarioConfigError, StageTimeoutError
@@ -220,6 +222,34 @@ def test_config_from_bad_json():
         ScenarioConfig.from_json("not json")
     with pytest.raises(ScenarioConfigError):
         ScenarioConfig.from_json("{}")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _config_with(field, value) -> str:
+    data = json.loads(nominal_config().to_json())
+    data[field] = value
+    return json.dumps(data)  # infinities and NaN become bare JSON words
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.builds(_config_with, st.sampled_from(sorted(json.loads(nominal_config().to_json()))), _JSON_VALUES),
+        st.sampled_from(["1" * 5000, "[" * 5000, '{"seed": 1e400}']),
+    )
+)
+def test_config_from_json_raises_only_scenario_config_error(text):
+    try:
+        ScenarioConfig.from_json(text)
+    except ScenarioConfigError:
+        pass
 
 
 def test_generated_config_is_valid_and_seed_stable():

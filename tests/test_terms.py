@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masbus import (
     Atom,
@@ -120,3 +121,15 @@ def test_coerce_term_interprets_literals():
     assert coerce_term("TrackedArtifact") == String("TrackedArtifact")
     assert coerce_term(7) == Number(7)
     assert coerce_term([1, "a"]) == ListTerm((Number(1), Atom("a")))
+
+
+_TERM_TEXT = st.one_of(st.text(), st.text(alphabet="()[],.'\"\\ _aZ09-+eE\n\t"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERM_TEXT)
+def test_parse_term_raises_only_term_syntax_error(text):
+    try:
+        parse_term(text)
+    except TermSyntaxError:
+        pass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masbus import EndpointUri, format_uri, parse_uri
 from masbus.errors import (
@@ -10,6 +11,7 @@ from masbus.errors import (
     DuplicateParamKeyError,
     EmptyUriError,
     MissingSchemeError,
+    UriError,
 )
 from conftest import random_atom_name
 
@@ -94,3 +96,12 @@ def test_round_trip_property_over_random_uris():
 def test_invalid_scheme_token_rejected_on_construction():
     with pytest.raises(MissingSchemeError):
         EndpointUri("Bad", "x", {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="ab1:?&=/% \t-_.")))
+def test_parse_uri_raises_only_uri_errors(text):
+    try:
+        parse_uri(text)
+    except UriError:
+        pass
