@@ -22,7 +22,6 @@ from .acl import (
 from .clock import SimulatedClock, WallClock
 from .config import (
     RouteBuilder,
-    RouteFile,
     constant,
     parse_route_file,
     parse_routes_xml,
@@ -41,15 +40,12 @@ from .environment import (
     PropertyChanged,
     RouteOrigin,
     SignalPercept,
-    Workspace,
     counter_template,
     great_circle_km,
     tracker_template,
 )
 from .routing import (
     Bus,
-    DeadLetter,
-    DeliveryRecord,
     Exchange,
     RouteDefinition,
     SetHeader,
@@ -84,9 +80,7 @@ __all__ = [
     "ArtifactTemplate",
     "Atom",
     "Bus",
-    "DeadLetter",
     "Delivery",
-    "DeliveryRecord",
     "EndpointUri",
     "Environment",
     "Exchange",
@@ -103,7 +97,6 @@ __all__ = [
     "PropertyChanged",
     "RouteBuilder",
     "RouteDefinition",
-    "RouteFile",
     "RouteOrigin",
     "ScenarioConfig",
     "ScenarioReport",
@@ -116,7 +109,6 @@ __all__ = [
     "Term",
     "Transform",
     "WallClock",
-    "Workspace",
     "assert_report",
     "coerce_term",
     "constant",

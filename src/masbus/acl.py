@@ -1,11 +1,11 @@
 """Agent-to-agent messaging: speech-act messages, mailboxes and dummy agents.
 
 Agents are registered by name. A *local* agent has a FIFO mailbox and,
-optionally, a reactive behavior executed serially on its own worker. A
-*dummy* agent is the in-system counterpart of an external entity: it has no
-mailbox, and anything sent to it is converted to an exchange and injected
-into the route it is bound to. From the sender's point of view both kinds
-are addressed identically.
+optionally, a reactive behavior executed serially as a lane of the
+registry's worker pool. A *dummy* agent is the in-system counterpart of an
+external entity: it has no mailbox, and anything sent to it is converted to
+an exchange and injected into the route it is bound to. From the sender's
+point of view both kinds are addressed identically.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     UnknownAgentError,
     UnknownReceiverError,
 )
+from .pool import Worker, WorkerPool
 from .terms import Term
 
 logger = logging.getLogger(__name__)
@@ -142,23 +143,50 @@ class AgentContext:
 
 
 class _Agent:
-    def __init__(self, name: str, behavior: AgentBehavior | None):
+    """A local agent; one that reacts is a lane of the registry's pool.
+
+    ``lock`` guards the mailbox, ``stirred`` (a stimulus came since the
+    last take) and ``worker`` (the pool worker serving the agent, or None).
+    """
+
+    def __init__(self, registry: "AgentRegistry", name: str, behavior: AgentBehavior | None):
+        self.registry = registry
         self.name = name
-        self.behavior = behavior
+        self.thread_name = f"agent-{name}"
+        self.on_message = behavior.on_message if behavior is not None else None
+        self.on_percept = behavior.on_percept if behavior is not None else None
         self.mailbox: deque[AclMessage] = deque()
         self.lock = threading.Lock()
-        self.wake = threading.Event()
         self.log: list[Term] = []
         self.context = AgentContext(name)
-        self.thread: threading.Thread | None = None
-        self.stopping = False
+        self.stirred = False
+        # the spawning thread holds the lane until the initial effects have run
+        self.worker: Worker | bool | None = True
 
-
-class _Dummy:
-    def __init__(self, name: str, route_id: str, deliver):
-        self.name = name
-        self.route_id = route_id
-        self.deliver = deliver
+    def _serve(self, worker: Worker) -> bool:
+        """React in passes until nothing stirs the agent; True once the
+        worker parked, False when the registry stopped."""
+        worker.thread.name = self.thread_name
+        environment = self.registry.environment if self.on_percept is not None else None
+        while True:
+            with self.lock:
+                if self.registry._stopped:
+                    return False
+                if not self.stirred:
+                    self.worker = None
+                    self.registry._pool.park(worker)
+                    return True
+                # cleared before taking: a stimulus queued after the take stirs again
+                self.stirred = False
+                messages = ()
+                if self.on_message is not None and self.mailbox:
+                    messages, self.mailbox = self.mailbox, deque()
+            percepts = environment._take_percepts(self.name) if environment is not None else ()
+            for reaction, stimuli in ((self.on_percept, percepts), (self.on_message, messages)):
+                for stimulus in stimuli:
+                    if self.registry._stopped:
+                        return False
+                    self.registry._react(self, reaction, stimulus)
 
 
 class AgentRegistry:
@@ -168,11 +196,11 @@ class AgentRegistry:
     hands the message to the bound route. Message ids are minted from a
     monotonic counter prefixed with ``run_id``.
 
-    A local agent with a behavior runs on its own thread. A new percept or
-    message wakes it only when it sleeps; each pass it takes every queued
-    percept in one round and every queued message in another, then reacts
-    to them in that order: percepts in ``seq`` order, messages in arrival
-    order.
+    A local agent that reacts is a lane of the registry's worker pool: a
+    stimulus it reacts to stirs it, and a stirred agent with no worker gets
+    one, so spawning starts no thread. Each pass takes every queued message
+    and then every queued percept, and reacts to the percepts in ``seq``
+    order, then to the messages in arrival order.
     """
 
     def __init__(self, environment: Environment | None = None, *, run_id: str = "reg"):
@@ -180,9 +208,11 @@ class AgentRegistry:
         self.environment = environment
         self._lock = threading.RLock()
         self._agents: dict[str, _Agent] = {}
-        self._dummies: dict[str, _Dummy] = {}
+        self._dummies: dict[str, Callable[[AclMessage], None]] = {}
         self._msg_ids = itertools.count(1)  # next() on it is atomic: no lock
         self._send_listeners: list = []
+        self._pool = WorkerPool()
+        self._stopped = False
         if environment is not None:
             environment.add_percept_listener(self._on_percept_queued)
 
@@ -193,32 +223,29 @@ class AgentRegistry:
         with self._lock:
             if name in self._agents or name in self._dummies:
                 raise DuplicateNameError(f"agent name {name!r} already in use")
-            agent = _Agent(name, behavior)
+            agent = _Agent(self, name, behavior)
             self._agents[name] = agent
         if behavior is not None and behavior.initial is not None:
             initial = behavior.initial
             effects = initial(agent.context) if callable(initial) else initial
             self._run_effects(agent, effects)
-        if behavior is not None and (behavior.on_message or behavior.on_percept):
-            agent.thread = threading.Thread(
-                target=self._agent_loop, args=(agent,), name=f"agent-{name}", daemon=True
-            )
-            agent.thread.start()
+        with agent.lock:  # stimuli that came during the initial effects get a pass now
+            agent.worker = None
+            if agent.stirred:
+                self._stir(agent)
 
     def register_dummy(self, name: str, route_id: str, deliver) -> None:
-        """Bind a dummy agent; ``deliver(message)`` feeds the bound route."""
+        """Bind a dummy agent; ``deliver(message)`` feeds route ``route_id``."""
         with self._lock:
             if name in self._agents or name in self._dummies:
                 raise DuplicateNameError(f"agent name {name!r} already in use")
-            self._dummies[name] = _Dummy(name, route_id, deliver)
+            self._dummies[name] = deliver
 
     def unregister_dummy(self, name: str) -> None:
-        with self._lock:
-            self._dummies.pop(name, None)
+        self._dummies.pop(name, None)
 
     def dummy_names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._dummies)
+        return tuple(self._dummies)
 
     # -- messaging ----------------------------------------------------------
 
@@ -237,12 +264,11 @@ class AgentRegistry:
         if agent is not None:
             with agent.lock:
                 agent.mailbox.append(message)
-            # a set flag is cleared before the agent's next take, which gets this
-            if not agent.wake.is_set():
-                agent.wake.set()
+                if agent.on_message is not None:
+                    self._stir(agent)
             outcome = Delivery.LOCAL
-        elif (dummy := self._dummies.get(message.receiver)) is not None:
-            dummy.deliver(message)
+        elif (deliver := self._dummies.get(message.receiver)) is not None:
+            deliver(message)
             outcome = Delivery.ROUTED
         else:
             raise UnknownReceiverError(f"no agent or dummy named {message.receiver!r}")
@@ -253,24 +279,24 @@ class AgentRegistry:
                 logger.exception("send listener failed")
         return outcome
 
+    def _agent(self, name: str) -> _Agent:
+        agent = self._agents.get(name)  # like send_message: one get needs no lock
+        if agent is None:
+            raise UnknownAgentError(f"no agent named {name!r}")
+        return agent
+
     def receive(self, agent_name: str) -> AclMessage | None:
         """Dequeue the oldest mailbox message of a local agent, if any."""
-        with self._lock:
-            if agent_name in self._dummies:
-                raise NotLocalAgentError(f"{agent_name!r} is a dummy agent")
-            agent = self._agents.get(agent_name)
-        if agent is None:
-            raise UnknownAgentError(f"no agent named {agent_name!r}")
+        if agent_name in self._dummies:
+            raise NotLocalAgentError(f"{agent_name!r} is a dummy agent")
+        agent = self._agent(agent_name)
         with agent.lock:
             if agent.mailbox:
                 return agent.mailbox.popleft()
             return None
 
     def mailbox_size(self, agent_name: str) -> int:
-        with self._lock:
-            agent = self._agents.get(agent_name)
-        if agent is None:
-            raise UnknownAgentError(f"no agent named {agent_name!r}")
+        agent = self._agent(agent_name)
         with agent.lock:
             return len(agent.mailbox)
 
@@ -279,43 +305,31 @@ class AgentRegistry:
         self._send_listeners.append(fn)
 
     def agent_log(self, name: str) -> tuple[Term, ...]:
-        with self._lock:
-            agent = self._agents.get(name)
-        if agent is None:
-            raise UnknownAgentError(f"no agent named {name!r}")
-        return tuple(agent.log)
+        return tuple(self._agent(name).log)
 
     def stop(self) -> None:
-        with self._lock:
-            agents = list(self._agents.values())
-        for agent in agents:
-            agent.stopping = True
-            agent.wake.set()
+        """Dispatch nothing more: parked workers end now, a reacting one
+        after its current reaction; none is waited for."""
+        self._stopped = True
+        for agent in list(self._agents.values()):
+            with agent.lock:  # after this no worker of the agent parks or is dispatched
+                pass
+        self._pool.close()
 
     # -- behavior execution ---------------------------------------------------
 
+    def _stir(self, agent: _Agent) -> None:
+        """Give ``agent`` a pass, and a worker if it has none; hold ``agent.lock``."""
+        agent.stirred = True
+        if agent.worker is None and not self._stopped:
+            agent.worker = self._pool.dispatch(agent)
+
     def _on_percept_queued(self, percept: Percept) -> None:
         agent = self._agents.get(percept.agent)
-        if agent is not None and not agent.wake.is_set():
-            agent.wake.set()
-
-    def _agent_loop(self, agent: _Agent) -> None:
-        on_percept, on_message = agent.behavior.on_percept, agent.behavior.on_message
-        environment = self.environment if on_percept is not None else None
-        while not agent.stopping:
-            agent.wake.wait()
-            # cleared before taking: a stimulus queued after the take sets it again
-            agent.wake.clear()
-            percepts = environment._take_percepts(agent.name) if environment is not None else ()
-            messages = ()
-            if on_message is not None and agent.mailbox:
-                with agent.lock:
-                    messages, agent.mailbox = agent.mailbox, deque()
-            for reaction, stimuli in ((on_percept, percepts), (on_message, messages)):
-                for stimulus in stimuli:
-                    if agent.stopping:
-                        return
-                    self._react(agent, reaction, stimulus)
+        # a stirred agent takes this percept in its next pass: no lock needed
+        if agent is not None and agent.on_percept is not None and not agent.stirred:
+            with agent.lock:
+                self._stir(agent)
 
     def _react(self, agent: _Agent, reaction, stimulus) -> None:
         try:
@@ -333,24 +347,21 @@ class AgentRegistry:
                 logger.exception("effect %r of agent %s failed", effect, agent.name)
 
     def _run_effect(self, agent: _Agent, effect: Effect) -> None:
-        on_percept = agent.behavior.on_percept if agent.behavior is not None else None
         if isinstance(effect, Send):
             self.send_message(effect.message)
-        elif isinstance(effect, ArtifactOp):
-            if self.environment is None:
-                raise RuntimeError("no environment attached; cannot act on artifacts")
-            # an operation_failed percept would pile up for an agent that takes none
-            self.environment.execute_op(effect.request, notify_origin=on_percept is not None)
-        elif isinstance(effect, Focus):
-            if self.environment is None:
-                raise RuntimeError("no environment attached; cannot focus")
-            if on_percept is None:
-                # nothing would ever take its percepts: they would pile up
-                raise RuntimeError(f"agent {agent.name!r} has no on_percept; cannot focus")
-            snapshots = self.environment.focus(agent.name, effect.workspace, effect.artifact)
-            for percept in snapshots:
-                self._react(agent, on_percept, percept)
         elif isinstance(effect, Log):
             agent.log.append(effect.entry)
-        else:
+        elif not isinstance(effect, (ArtifactOp, Focus)):
             raise TypeError(f"unknown effect {effect!r}")
+        elif self.environment is None:
+            raise RuntimeError(f"no environment attached; cannot run {effect!r}")
+        elif isinstance(effect, ArtifactOp):
+            # an operation_failed percept would pile up for an agent that takes none
+            self.environment.execute_op(effect.request, notify_origin=agent.on_percept is not None)
+        elif agent.on_percept is None:
+            # nothing would ever take its percepts: they would pile up
+            raise RuntimeError(f"agent {agent.name!r} has no on_percept; cannot focus")
+        else:
+            snapshots = self.environment.focus(agent.name, effect.workspace, effect.artifact)
+            for percept in snapshots:
+                self._react(agent, agent.on_percept, percept)

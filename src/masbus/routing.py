@@ -20,12 +20,8 @@ they close a gate that stops workers taking exchanges and wait out the ones
 taken, so no route of a ``start`` sends before every route is bound. ``stop``
 drains while processing goes on.
 
-Routes share one elastic worker pool per bus. A route that admits an
-exchange while no worker serves it gets the most recently parked worker,
-and the bus starts a new worker thread only when every worker is busy: a
-busy route never waits for another, so distinct routes process
-concurrently. A worker keeps its route until the route's queue is empty,
-then parks; while it serves a route its thread is named ``route-<id>``.
+Routes are the lanes of one elastic worker pool per bus (see
+:mod:`masbus.pool`); a worker serving a route is named ``route-<id>``.
 ``start`` readies one parked worker. No worker outlives ``stop``, except
 one stuck in a producer past the drain deadline, which ends once the
 producer returns and serves nothing again.
@@ -55,6 +51,7 @@ from .errors import (
     UnknownSchemeError,
     UnknownTransformError,
 )
+from .pool import Worker, WorkerPool
 from .terms import Term, render_term
 from .uris import EndpointUri, as_uri, format_uri
 
@@ -62,8 +59,6 @@ logger = logging.getLogger(__name__)
 
 # delivery records kept by a bus; older ones are only counted
 DELIVERY_LOG_SIZE = 10_000
-# name of a pool worker that serves no route; a serving one is route-<id>
-PARKED_THREAD_NAME = "route-pool-parked"
 
 
 @dataclass
@@ -173,83 +168,6 @@ class RouteContext:
         return self._runtime.emit(exchange)
 
 
-class _Worker:
-    """A pool thread and the route it serves, or None once it is told to end.
-
-    The worker takes ``wake`` before each route; whoever hands it a route
-    releases ``wake``, before or after the worker blocks on it. A worker
-    made without a route starts parked.
-    """
-
-    __slots__ = ("route", "wake", "thread")
-
-    def __init__(self, route: "_RouteRuntime | None"):
-        self.route = route
-        self.wake = threading.Lock()
-        if route is None:
-            self.wake.acquire()
-        name = PARKED_THREAD_NAME if route is None else route.thread_name
-        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
-
-    def _run(self):
-        while True:
-            self.wake.acquire()
-            if self.route is None or not self.route._serve(self):
-                return
-
-
-class _WorkerPool:
-    """The route workers of one bus, grown only when every worker is busy.
-
-    A route that admits an exchange while it has no worker gets the most
-    recently parked one, or a new thread when none is parked; the worker
-    keeps the route until its queue is empty and then parks. So the pool
-    never holds more workers than routes were ever busy at once. Callers
-    hold the route's condition; ``list.append`` and ``list.pop`` are atomic,
-    so the pool needs no lock of its own.
-    """
-
-    def __init__(self):
-        self._parked: list[_Worker] = []
-        self._workers: list[_Worker] = []
-
-    def dispatch(self, route: "_RouteRuntime") -> _Worker:
-        try:
-            worker = self._parked.pop()
-        except IndexError:
-            return self._start(_Worker(route))
-        worker.route = route
-        worker.wake.release()
-        return worker
-
-    def ready(self):
-        """Start one parked worker, so the first exchange need not wait for a thread."""
-        self._parked.append(self._start(_Worker(None)))
-
-    def _start(self, worker: _Worker) -> _Worker:
-        worker.thread.start()
-        self._workers.append(worker)
-        return worker
-
-    def park(self, worker: _Worker):
-        worker.thread.name = PARKED_THREAD_NAME
-        self._parked.append(worker)
-
-    def close(self, deadline: float):
-        """End the parked workers and wait for all until ``deadline``.
-
-        Call once no route has a worker: a detached worker ends by itself
-        when its exchange returns.
-        """
-        parked, self._parked = self._parked, []
-        workers, self._workers = self._workers, []
-        for worker in parked:
-            worker.route = None
-            worker.wake.release()
-        for worker in workers:
-            worker.thread.join(max(0.0, deadline - time.monotonic()))
-
-
 class _RouteRuntime:
     """One route's consumer, processors and producers, served by a pool worker.
 
@@ -270,7 +188,7 @@ class _RouteRuntime:
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
         self._staged: list[DeliveryRecord] = []
-        self._worker: _Worker | None = None
+        self._worker: Worker | None = None
         self.admitted = 0
         self._accepting = False
         self.consumer = None
@@ -337,17 +255,14 @@ class _RouteRuntime:
                 self.bus._commit_deliveries(self._staged)
                 self.bus._record_dropped(self.route_id, self._current)
                 self._current = None
-        self._stop_producers()
-        self.consumer = None
-        logger.debug("route %s stopped", self.route_id)
-
-    def _stop_producers(self):
         for _, producer in self.producers:
             try:
                 producer.stop()
             except Exception:
                 logger.exception("producer stop failed on route %s", self.route_id)
         self.producers = []
+        self.consumer = None
+        logger.debug("route %s stopped", self.route_id)
 
     def emit(self, exchange: Exchange) -> bool:
         with self._cond:
@@ -359,7 +274,7 @@ class _RouteRuntime:
             self.admitted += 1
         return True
 
-    def _serve(self, worker: _Worker) -> bool:
+    def _serve(self, worker: Worker) -> bool:
         """Process exchanges on ``worker`` until the queue is empty.
 
         True once the worker parked; False when ``detach`` took the route
@@ -456,7 +371,7 @@ class Bus:
         self._aliases: dict[str, str] = {}
         self._transforms: dict[str, object] = {}
         self._routes: dict[str, _RouteRuntime] = {}
-        self._pool = _WorkerPool()
+        self._pool = WorkerPool()
         self._admin = threading.RLock()
         self._open = True  # workers take exchanges only while it is set
         self._running = False
@@ -595,7 +510,8 @@ class Bus:
         # every worker is told to end before any is waited for
         for runtime in self._routes.values():
             runtime.detach()
-        self._pool.close(deadline)
+        for worker in self._pool.close():
+            worker.thread.join(max(0.0, deadline - time.monotonic()))
         for runtime in self._routes.values():
             runtime.release()
 

@@ -354,3 +354,130 @@ def test_every_agent_reacts_to_every_stimulus_under_concurrent_feeders():
         assert percepts[name] == sorted(percepts[name])
         for sender in ("s0", "s1"):
             assert [i for s, i in messages[name] if s == sender] == list(range(rounds))
+
+
+def test_spawning_reacting_agents_starts_no_thread(monkeypatch):
+    started = []
+    thread_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    env = Environment()
+    reg = AgentRegistry(env)
+    for i in range(10):
+        reg.spawn_agent(
+            f"a{i}", AgentBehavior(on_message=lambda ctx, m: [], on_percept=lambda ctx, p: [])
+        )
+    assert started == []
+    reg.stop()
+
+
+def test_a_blocked_reaction_does_not_delay_another_agents_reaction():
+    reg = AgentRegistry()
+    entered, release = threading.Event(), threading.Event()
+    reacted = []
+
+    def block(ctx, m):
+        entered.set()
+        release.wait(5.0)
+        return []
+
+    reg.spawn_agent("a", AgentBehavior(on_message=block))
+    reg.spawn_agent("b", AgentBehavior(on_message=lambda ctx, m: reacted.append(m) or []))
+    try:
+        reg.send_message(tell("x", "a"))
+        assert entered.wait(2.0)
+        reg.send_message(tell("x", "b"))
+        assert wait_for(lambda: reacted, timeout=1.0)
+        assert not release.is_set()
+    finally:
+        release.set()
+        reg.stop()
+
+
+def test_a_reacting_worker_is_named_after_its_agent():
+    reg = AgentRegistry()
+    names = []
+
+    def on_message(ctx, m):
+        names.append(threading.current_thread().name)
+        return []
+
+    reg.spawn_agent("namer", AgentBehavior(on_message=on_message))
+    reg.send_message(tell("x", "namer"))
+    assert wait_for(lambda: names)
+    assert names == ["agent-namer"]
+    reg.stop()
+
+
+def test_stop_lets_the_current_reaction_finish_and_reacts_to_nothing_later():
+    reg = AgentRegistry()
+    entered, release = threading.Event(), threading.Event()
+    finished, workers = [], []
+
+    def on_message(ctx, m):
+        workers.append(threading.current_thread())
+        entered.set()
+        release.wait(5.0)
+        finished.append(m.content.value)
+        return []
+
+    reg.spawn_agent("slow", AgentBehavior(on_message=on_message))
+    reg.send_message(tell("x", "slow", Number(1)))
+    assert entered.wait(2.0)
+    reg.send_message(tell("x", "slow", Number(2)))
+    started = time.monotonic()
+    reg.stop()
+    # stop does not wait for the reaction
+    assert time.monotonic() - started < 0.5
+    release.set()
+    reg.send_message(tell("x", "slow", Number(3)))
+    assert wait_for(lambda: not workers[0].is_alive(), timeout=1.0)
+    assert finished == [1]
+
+
+def test_spawn_after_stop_starts_no_thread():
+    reg = AgentRegistry()
+    reg.stop()
+    before = set(threading.enumerate())
+    reacted = []
+    reg.spawn_agent("b", AgentBehavior(on_message=lambda ctx, m: reacted.append(m) or []))
+    reg.send_message(tell("a", "b"))
+    time.sleep(0.2)
+    assert set(threading.enumerate()) <= before
+    assert reacted == []
+
+
+def test_stop_racing_stimuli_leaves_no_worker():
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            reg = AgentRegistry()
+            names = [f"a{i}" for i in range(8)]
+            for name in names:
+                reg.spawn_agent(name, AgentBehavior(on_message=lambda ctx, m: []))
+
+            def feed():
+                for _ in range(20):
+                    for name in names:
+                        reg.send_message(tell("x", name))
+
+            feeders = [threading.Thread(target=feed) for _ in range(3)]
+            for feeder in feeders:
+                feeder.start()
+            time.sleep(0.001)
+            reg.stop()
+            for feeder in feeders:
+                feeder.join(5.0)
+            assert not [f for f in feeders if f.is_alive()]
+    finally:
+        sys.setswitchinterval(interval)
+    # a worker that parked as stop() ran would wait for a lane forever
+    assert wait_for(lambda: set(threading.enumerate()) <= before, timeout=2.0), [
+        t.name for t in set(threading.enumerate()) - before
+    ]

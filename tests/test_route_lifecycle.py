@@ -45,37 +45,35 @@ def test_wait_until_idle_covers_direct_hops_in_any_order(order):
         bus.stop()
 
 
+class _PublishOnStartConsumer(Consumer):
+    def start(self):
+        self.ctx.bus.component_for("mqttlite").broker("h").publish("t", "1")
+        time.sleep(0.001)  # a's worker reaches the gate before b binds
+
+
+class _PublishOnStartComponent(Component):
+    def create_consumer(self, ctx):
+        return _PublishOnStartConsumer(ctx)
+
+
 def test_start_binds_every_route_before_any_route_sends():
     bus = Bus()
     collector = CollectorComponent()
     register_builtin_components(bus)
     bus.register_component("collect", collector)
-    # upstream first: route a is started, and its consumer fed, before b binds
+    bus.register_component("publish", _PublishOnStartComponent())
+    # a is fed while the bus starts: by the consumer started after a's and before b's
     bus.add_route(
         RouteDefinition("a", "mqttlite:c?host=h&subscribeTopicName=t", (), ("direct:b",))
     )
+    bus.add_route(RouteDefinition("feed", "publish:x", (), ("collect:unused",)))
     bus.add_route(RouteDefinition("b", "direct:b", (), ("collect:sink",)))
-    broker = bus.component_for("mqttlite").broker("h")
     for _ in range(200):
-        started = threading.Event()
-
-        def publish():
-            while not started.is_set():
-                broker.publish("t", "1")
-                time.sleep(0)  # let start() and the feed interleave
-
-        publisher = threading.Thread(target=publish)
-        publisher.start()
-        try:
-            bus.start()
-        finally:
-            started.set()
-            publisher.join(2.0)
-        assert not publisher.is_alive()
+        bus.start()
         assert bus.wait_until_idle()
         bus.stop()
     assert bus.dead_letters() == ()
-    assert collector.exchanges()
+    assert [ex.body for ex in collector.exchanges()] == [Number(1)] * 200
 
 
 class _EagerConsumer(Consumer):
