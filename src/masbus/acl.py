@@ -102,7 +102,7 @@ class AgentBehavior:
 
     on_message: Optional[Callable[["AgentContext", AclMessage], list[Effect]]] = None
     on_percept: Optional[Callable[["AgentContext", Percept], list[Effect]]] = None
-    initial: Union[Callable[["AgentContext"], list[Effect]], list[Effect], None] = None
+    initial: Optional[Callable[["AgentContext"], list[Effect]]] = None
 
 
 class AgentContext:
@@ -214,7 +214,7 @@ class AgentRegistry:
         self._pool = WorkerPool()
         self._stopped = False
         if environment is not None:
-            environment.add_percept_listener(self._on_percept_queued)
+            environment.add_percept_listener(self._on_percepts_queued)
 
     # -- registration ----------------------------------------------------
 
@@ -226,9 +226,7 @@ class AgentRegistry:
             agent = _Agent(self, name, behavior)
             self._agents[name] = agent
         if behavior is not None and behavior.initial is not None:
-            initial = behavior.initial
-            effects = initial(agent.context) if callable(initial) else initial
-            self._run_effects(agent, effects)
+            self._run_effects(agent, behavior.initial(agent.context))
         with agent.lock:  # stimuli that came during the initial effects get a pass now
             agent.worker = None
             if agent.stirred:
@@ -324,12 +322,13 @@ class AgentRegistry:
         if agent.worker is None and not self._stopped:
             agent.worker = self._pool.dispatch(agent)
 
-    def _on_percept_queued(self, percept: Percept) -> None:
-        agent = self._agents.get(percept.agent)
-        # a stirred agent takes this percept in its next pass: no lock needed
-        if agent is not None and agent.on_percept is not None and not agent.stirred:
-            with agent.lock:
-                self._stir(agent)
+    def _on_percepts_queued(self, agents) -> None:
+        for name in agents:
+            agent = self._agents.get(name)
+            # a stirred agent takes the new percepts in its next pass: no lock needed
+            if agent is not None and agent.on_percept is not None and not agent.stirred:
+                with agent.lock:
+                    self._stir(agent)
 
     def _react(self, agent: _Agent, reaction, stimulus) -> None:
         try:

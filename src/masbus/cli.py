@@ -67,7 +67,7 @@ def _load(args):
     try:
         cli_aliases = _parse_aliases(args.alias)
         with open(args.route_file, "r", encoding="utf-8") as fh:
-            route_file = parse_route_file(fh.read(), source=args.route_file)
+            route_file = parse_route_file(fh.read())
     except (OSError, ValueError, RouteConfigError) as err:
         print(f"{args.route_file}: {err}", file=sys.stderr)
         return None, None, EXIT_PARSE
@@ -96,7 +96,7 @@ def cmd_run(args) -> int:
     clock = SimulatedClock() if args.simulated_time else None
     environment = Environment()
     registry = AgentRegistry(environment)
-    bus = Bus(clock=clock) if clock else Bus()
+    bus = Bus(clock=clock)
     register_builtin_components(bus, registry, environment)
     for scheme, component in aliases.items():
         bus.register_alias(scheme, component)

@@ -16,7 +16,13 @@ workspace.
 
 from __future__ import annotations
 
-from ..environment import Environment, OperationRequest, OutboundPayload, RouteOrigin
+from ..environment import (
+    DEFAULT_WORKSPACE,
+    Environment,
+    OperationRequest,
+    OutboundPayload,
+    RouteOrigin,
+)
 from ..errors import (
     MissingArtifactNameError,
     MissingOperationNameError,
@@ -31,18 +37,16 @@ ARTIFACT_HEADER = "ArtifactName"
 OPERATION_HEADER = "OperationName"
 
 
-def _workspace_of(component: "ArtifactComponent", uri) -> str:
+def _workspace_of(uri) -> str:
     path = uri.path
-    if not path or path == CARTAGO_ALIAS:
-        return component.environment.default_workspace
-    return path
+    return DEFAULT_WORKSPACE if not path or path == CARTAGO_ALIAS else path
 
 
 class _ArtifactConsumer(Consumer):
     def __init__(self, ctx, component):
         super().__init__(ctx)
         self.environment: Environment = component.environment
-        self.workspace = _workspace_of(component, ctx.uri)
+        self.workspace = _workspace_of(ctx.uri)
         self.artifact_name = require_param(ctx.uri, "artifactName")
 
     def start(self):
@@ -68,7 +72,7 @@ class _ArtifactProducer(Producer):
     def __init__(self, ctx, component):
         super().__init__(ctx)
         self.environment: Environment = component.environment
-        self.workspace = _workspace_of(component, ctx.uri)
+        self.workspace = _workspace_of(ctx.uri)
 
     def _resolve(self, exchange, header: str, param: str, error) -> str:
         value: Term | None = exchange.headers.get(header)

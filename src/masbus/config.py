@@ -99,7 +99,6 @@ def _load_tree(text: str) -> _Node:
 class RouteFile:
     routes: tuple[RouteDefinition, ...]
     aliases: dict[str, str]
-    source: str | None = None
 
 
 def _expect_attrs(node: _Node, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -199,7 +198,7 @@ def _parse_aliases(node: _Node) -> dict[str, str]:
     return aliases
 
 
-def parse_route_file(text: str, source: str | None = None) -> RouteFile:
+def parse_route_file(text: str) -> RouteFile:
     """Parse a full route file: alias table plus route definitions."""
     root = _load_tree(text)
     if root.tag != "routes":
@@ -221,7 +220,7 @@ def parse_route_file(text: str, source: str | None = None) -> RouteFile:
             raise UnknownElementError(
                 f"unknown element <{child.tag}> in <routes>", child.line, child.col
             )
-    return RouteFile(tuple(routes), aliases, source)
+    return RouteFile(tuple(routes), aliases)
 
 
 def parse_routes_xml(text: str) -> list[RouteDefinition]:

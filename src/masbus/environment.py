@@ -176,16 +176,16 @@ class Environment:
     Percepts are pushed into a per-agent FIFO queue; agents (or an agent
     runtime) poll with :meth:`poll_percept`. A change is minted and queued
     for all its observers in one lock round, so each queue is in ``seq``
-    order even across concurrent artifacts; percept listeners are called
-    per percept after that round. :meth:`operation_log` keeps the latest
-    ``OP_LOG_SIZE`` entries.
+    order even across concurrent artifacts; after that round each percept
+    listener is called once for the whole batch, with the names of the
+    agents whose queues it filled. :meth:`operation_log` keeps the latest
+    ``OP_LOG_SIZE`` entries. An omitted workspace means ``DEFAULT_WORKSPACE``.
     """
 
-    def __init__(self, *, default_workspace: str = DEFAULT_WORKSPACE):
+    def __init__(self):
         self._lock = threading.RLock()
         self.workspaces: dict[str, Workspace] = {}
-        self.default_workspace = default_workspace
-        self.create_workspace(default_workspace)
+        self.create_workspace(DEFAULT_WORKSPACE)
         self._percept_queues: defaultdict[str, deque[Percept]] = defaultdict(deque)
         self._percept_seq: dict[str, int] = {}
         self._percept_listeners: list = []
@@ -210,7 +210,7 @@ class Environment:
             ws.artifacts[name] = Artifact(name, template)
 
     def _workspace(self, name: str | None) -> Workspace:
-        key = self.default_workspace if name is None else name
+        key = DEFAULT_WORKSPACE if name is None else name
         try:
             return self.workspaces[key]
         except KeyError:
@@ -263,29 +263,25 @@ class Environment:
             return self._percept_queues.pop(agent, ())
 
     def add_percept_listener(self, fn) -> None:
-        """``fn(percept)`` whenever a percept lands in an agent's queue."""
+        """``fn(agents)`` once per batch of percepts, with the names of the
+        agents whose queues the batch filled."""
         self._percept_listeners.append(fn)
 
     def _queue_percepts(self, agents, artifact: str, changes) -> None:
         """Queue ``cls(agent, artifact, seq, *fields)`` for each change in
-        ``changes`` (``(cls, fields)`` pairs) and each agent, then call the
-        listeners per percept. Minting and queueing share one lock round."""
-        queued = []
+        ``changes`` (``(cls, fields)`` pairs) and each agent, then call each
+        listener once with ``agents``. Minting and queueing share one lock round."""
         with self._lock:
             seqs, queues = self._percept_seq, self._percept_queues
             for cls, fields in changes:
                 for agent in agents:
                     seq = seqs[agent] = seqs.get(agent, 0) + 1
-                    percept = cls(agent, artifact, seq, *fields)
-                    queues[agent].append(percept)
-                    queued.append(percept)
-        listeners = self._percept_listeners
-        for percept in queued:
-            for fn in listeners:
-                try:
-                    fn(percept)
-                except Exception:
-                    logger.exception("percept listener failed")
+                    queues[agent].append(cls(agent, artifact, seq, *fields))
+        for fn in self._percept_listeners:
+            try:
+                fn(agents)
+            except Exception:
+                logger.exception("percept listener failed")
 
     # -- operations ----------------------------------------------------------
 
@@ -347,7 +343,7 @@ class Environment:
 
     def _log_op(self, request: OperationRequest, art: Artifact, status: str) -> None:
         entry = OperationLogEntry(
-            workspace=request.workspace or self.default_workspace,
+            workspace=request.workspace or DEFAULT_WORKSPACE,
             artifact=art.name,
             operation=request.operation_name,
             params=request.params,

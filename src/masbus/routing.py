@@ -13,12 +13,14 @@ Delivery guarantees:
 * failures never crash a route: a failing transform or producer diverts the
   exchange to the bus dead-letter log and the route keeps running;
 * ``stop`` is bounded: exchanges not finished by its drain deadline are
-  recorded as dropped, and a dropped exchange gets no delivery record after.
+  recorded as dropped, per route in admission order, and a dropped exchange
+  gets no delivery record after.
 
 ``add_route`` and ``start`` are mutually exclusive with exchange processing:
 they close a gate that stops workers taking exchanges and wait out the ones
 taken, so no route of a ``start`` sends before every route is bound. ``stop``
-drains while processing goes on.
+drains while processing goes on; a failed ``start`` shuts down the same way,
+with no time to drain.
 
 Routes are the lanes of one elastic worker pool per bus (see
 :mod:`masbus.pool`); a worker serving a route is named ``route-<id>``.
@@ -59,6 +61,8 @@ logger = logging.getLogger(__name__)
 
 # delivery records kept by a bus; older ones are only counted
 DELIVERY_LOG_SIZE = 10_000
+# default bound, in seconds, on how long ``Bus.stop`` waits for in-flight exchanges
+DRAIN_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -210,8 +214,7 @@ class _RouteRuntime:
             self._accepting = True
             self.consumer.start()
         except Exception:
-            self.detach()
-            self.release()
+            self.close()
             raise
         logger.debug("route %s started", self.route_id)
 
@@ -225,36 +228,29 @@ class _RouteRuntime:
         with self._cond:
             self._accepting = False
 
-    def idle(self) -> bool:
-        """Nothing admitted is left to process; call with ``_cond`` held."""
-        return not self._queue and self._current is None
-
     def drain(self, deadline: float) -> bool:
         # deadline is wall time: draining bounds real waiting even when the
         # bus runs on a simulated clock
         with self._cond:
-            return self._cond.wait_for(self.idle, deadline - time.monotonic())
+            return self._cond.wait_for(
+                lambda: not self._queue and self._current is None, deadline - time.monotonic()
+            )
 
-    def detach(self):
-        """Drop the queued exchanges and tell the route's worker to end."""
+    def close(self):
+        """Drop what is left in admission order, end the worker, stop the producers."""
         with self._cond:
             self._accepting = False
+            # the held one first: a worker stuck past the deadline keeps its
+            # deliveries so far and records nothing more for a dropped exchange
+            if self._current is not None:
+                self.bus._commit_deliveries(self._staged)
+                self.bus._record_dropped(self.route_id, self._current)
+                self._current = None
             for exchange in self._queue:
                 self.bus._record_dropped(self.route_id, exchange)
             self._queue.clear()
             self._worker = None
             self._cond.notify_all()
-
-    def release(self):
-        """Drop what a detached worker still holds and stop the producers."""
-        with self._cond:
-            # the worker is stuck past the deadline: its deliveries so far
-            # stay recorded, and once its exchange is recorded as dropped
-            # the worker records nothing more for it
-            if self._current is not None:
-                self.bus._commit_deliveries(self._staged)
-                self.bus._record_dropped(self.route_id, self._current)
-                self._current = None
         for _, producer in self.producers:
             try:
                 producer.stop()
@@ -277,7 +273,7 @@ class _RouteRuntime:
     def _serve(self, worker: Worker) -> bool:
         """Process exchanges on ``worker`` until the queue is empty.
 
-        True once the worker parked; False when ``detach`` took the route
+        True once the worker parked; False when ``close`` took the route
         from it, after which it serves nothing again.
         """
         worker.thread.name = self.thread_name
@@ -286,7 +282,7 @@ class _RouteRuntime:
         staged: list[DeliveryRecord] = []
         while True:
             with self._cond:
-                # otherwise detach dropped ``taken`` and took the route
+                # otherwise close dropped ``taken`` and took the route
                 if taken is not None and self._current is taken:
                     self._current = None
                     if staged:
@@ -302,7 +298,7 @@ class _RouteRuntime:
                     bus._pool.park(worker)
                     return True
                 taken = self._current = self._queue.popleft()
-                # release commits these itself if it drops ``taken``
+                # close commits these itself if it drops ``taken``
                 staged = self._staged = []
             try:
                 self._process(taken, staged)
@@ -358,15 +354,14 @@ class Bus:
         with the same inputs mint the same ids.
     clock:
         Time source (``WallClock`` by default); also drives timer consumers.
-    drain_timeout:
-        Bound, in seconds, on how long :meth:`stop` waits for in-flight
-        exchanges before recording them as dropped.
+
+    ``stop(drain_timeout=DRAIN_TIMEOUT_S)`` sets how many seconds stop waits
+    for in-flight exchanges before it records them as dropped.
     """
 
-    def __init__(self, *, run_id: str = "bus", clock=None, drain_timeout: float = 5.0):
+    def __init__(self, *, run_id: str = "bus", clock=None):
         self.run_id = run_id
         self.clock = clock if clock is not None else WallClock()
-        self.drain_timeout = drain_timeout
         self._components: dict[str, object] = {}
         self._aliases: dict[str, str] = {}
         self._transforms: dict[str, object] = {}
@@ -482,38 +477,35 @@ class Bus:
                     if self._routes:
                         self._pool.ready()
                 except Exception:
-                    for runtime in self._routes.values():
-                        runtime.deactivate()
-                    self._end_workers(time.monotonic())
+                    # the gate is closed: no worker holds an exchange to wait for
+                    self._shutdown(time.monotonic())
                     raise
             self._running = True
             logger.info("bus %s started with %d routes", self.run_id, len(self._routes))
 
-    def stop(self, drain_timeout: float | None = None) -> None:
-        timeout = self.drain_timeout if drain_timeout is None else drain_timeout
+    def stop(self, drain_timeout: float = DRAIN_TIMEOUT_S) -> None:
         with self._admin:
             if not self._running:
                 raise AlreadyStoppedError("bus is not running")
             # the gate stays open: a producer stuck past the deadline must
             # not hold stop() up
-            for runtime in self._routes.values():
-                runtime.deactivate()
-            deadline = time.monotonic() + timeout
-            drained = all(runtime.drain(deadline) for runtime in self._routes.values())
-            self._end_workers(deadline)
+            drained = self._shutdown(time.monotonic() + drain_timeout)
             self._running = False
             logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
 
-    def _end_workers(self, deadline: float):
-        """Drop what is queued, end every worker (waiting until ``deadline``),
-        then drop what a worker still stuck holds."""
+    def _shutdown(self, deadline: float) -> bool:
+        """Deactivate every route, drain them until ``deadline``, drop what is
+        left, then wait for the workers until ``deadline``; True if drained."""
+        routes = self._routes.values()
+        for runtime in routes:
+            runtime.deactivate()
+        drained = all(runtime.drain(deadline) for runtime in routes)
         # every worker is told to end before any is waited for
-        for runtime in self._routes.values():
-            runtime.detach()
+        for runtime in routes:
+            runtime.close()
         for worker in self._pool.close():
             worker.thread.join(max(0.0, deadline - time.monotonic()))
-        for runtime in self._routes.values():
-            runtime.release()
+        return drained
 
     @contextmanager
     def _gate_closed(self):

@@ -1,5 +1,5 @@
-"""Route lifecycle: start order, idleness across hops, the bound on stop(),
-released listeners and the bounded delivery log."""
+"""Route lifecycle: start order, a failed start, idleness across hops, the
+bound on stop(), released listeners and the bounded delivery log."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from masbus import Bus, Number, RouteDefinition
+from masbus import Bus, Number, RouteDefinition, Transform
 from masbus.components import DirectComponent, register_builtin_components
 from masbus.components.base import Component, Consumer, Producer
+from masbus.errors import UnknownTransformError
 from masbus.routing import DELIVERY_LOG_SIZE
 from conftest import CollectorComponent, wait_for
 
@@ -196,6 +197,34 @@ def test_stop_keeps_deliveries_made_before_the_drop():
     assert [ex.body for ex in collector.exchanges()] == [Number(1)]
 
 
+def test_stop_drops_the_held_exchange_then_the_queued_ones_in_admission_order():
+    bus = Bus()
+    blocking = _BlockingComponent()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("block:y", "collect:z")))
+    bus.start()
+    exchanges = [bus.new_exchange(body=Number(i)) for i in range(3)]
+    bus.process_exchange("r", exchanges[0])
+    assert blocking.entered.wait(2.0)
+    worker = next(t for t in threading.enumerate() if t.name == "route-r")
+    for queued in exchanges[1:]:
+        bus.process_exchange("r", queued)
+
+    bus.stop(drain_timeout=0.1)
+    assert [d.exchange["id"] for d in bus.dropped()] == [ex.id for ex in exchanges]
+
+    blocking.release.set()
+    assert blocking.returned.wait(2.0)
+    worker.join(2.0)
+    assert not worker.is_alive()
+    assert bus.deliveries() == ()
+    assert bus.report()["delivered"] == 0
+    assert collector.exchanges() == []
+
+
 def test_a_route_stuck_in_its_producer_does_not_delay_another_route():
     bus = Bus()
     blocking = _BlockingComponent()
@@ -249,7 +278,8 @@ def test_start_holds_exchanges_admitted_before_later_routes_bind():
     assert [ex.body.value for ex in collector.exchanges()] == [0, 1, 2]
 
 
-def test_worker_pool_grows_to_the_routes_busy_at_once_and_ends_at_stop(monkeypatch):
+def _route_thread_starts(monkeypatch) -> list:
+    """The threads with a ``route-`` name started from now on."""
     started = []
     thread_start = threading.Thread.start
 
@@ -259,6 +289,46 @@ def test_worker_pool_grows_to_the_routes_busy_at_once_and_ends_at_stop(monkeypat
         thread_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_failed_start_drops_what_started_routes_admitted_and_ends_their_workers(
+    monkeypatch,
+):
+    started = _route_thread_starts(monkeypatch)
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("feed", _FeedOnStartComponent())
+    bus.register_component("collect", collector)
+    # a is fed while it starts; b then fails to bind its transform
+    bus.add_route(RouteDefinition("a", "feed:x", (), ("collect:a",)))
+    bus.add_route(RouteDefinition("b", "direct:b", (Transform("tag"),), ("collect:b",)))
+    with pytest.raises(UnknownTransformError):
+        bus.start()
+    assert not bus.is_running
+    dropped = bus.dropped()
+    assert [d.route_id for d in dropped] == ["a"] * 3
+    assert [d.exchange["body"] for d in dropped] == ["0", "1", "2"]
+    assert started
+    assert wait_for(lambda: not [t for t in started if t.is_alive()], timeout=1.0)
+    assert bus.deliveries() == ()
+
+    bus.register_transform("tag", lambda ex: None)
+    bus.start()
+    try:
+        bus.process_exchange("b", bus.new_exchange(body=Number(3)))
+        assert bus.wait_until_idle(2.0)
+    finally:
+        bus.stop()
+    assert [ex.body.value for ex in collector.for_route("a")] == [0, 1, 2]
+    assert [ex.body.value for ex in collector.for_route("b")] == [3]
+    assert len(bus.dropped()) == 3
+    assert not [t for t in started if t.is_alive()]
+
+
+def test_worker_pool_grows_to_the_routes_busy_at_once_and_ends_at_stop(monkeypatch):
+    started = _route_thread_starts(monkeypatch)
     bus = Bus()
     collector = CollectorComponent()
     bus.register_component("direct", DirectComponent())
