@@ -73,6 +73,7 @@ class _ArtifactProducer(Producer):
         super().__init__(ctx)
         self.environment: Environment = component.environment
         self.workspace = _workspace_of(ctx.uri)
+        self.origin = RouteOrigin(ctx.route_id)
 
     def _resolve(self, exchange, header: str, param: str, error) -> str:
         value: Term | None = exchange.headers.get(header)
@@ -96,7 +97,7 @@ class _ArtifactProducer(Producer):
             artifact_name=artifact,
             operation_name=operation,
             params=params,
-            origin=RouteOrigin(self.ctx.route_id),
+            origin=self.origin,
             workspace=self.workspace,
         )
         result = self.environment.execute_op(request)

@@ -189,7 +189,7 @@ class Environment:
         self._percept_queues: defaultdict[str, deque[Percept]] = defaultdict(deque)
         self._percept_seq: dict[str, int] = {}
         self._percept_listeners: list = []
-        self._op_log: deque[OperationLogEntry] = deque(maxlen=OP_LOG_SIZE)
+        self._op_log: deque[tuple] = deque(maxlen=OP_LOG_SIZE)  # OperationLogEntry fields
         self._op_listeners: list = []
 
     # -- structure ---------------------------------------------------------
@@ -342,19 +342,12 @@ class Environment:
             self._queue_outbound(art, payload)
 
     def _log_op(self, request: OperationRequest, art: Artifact, status: str) -> None:
-        entry = OperationLogEntry(
-            workspace=request.workspace or DEFAULT_WORKSPACE,
-            artifact=art.name,
-            operation=request.operation_name,
-            params=request.params,
-            origin=request.origin,
-            status=status,
-        )
-        with self._lock:
-            self._op_log.append(entry)
+        fields = (request.workspace or DEFAULT_WORKSPACE, art.name, request.operation_name,
+                  request.params, request.origin, status)
+        self._op_log.append(fields)  # atomic under the GIL: no lock round
         for fn in self._op_listeners:
             try:
-                fn(entry)
+                fn(OperationLogEntry(*fields))
             except Exception:
                 logger.exception("operation listener failed")
 
@@ -372,8 +365,9 @@ class Environment:
             )
 
     def operation_log(self) -> tuple[OperationLogEntry, ...]:
-        with self._lock:
-            return tuple(self._op_log)
+        """The latest ``OP_LOG_SIZE`` entries, oldest first, built when read."""
+        # snapshot first: a generator over the live deque races concurrent operations
+        return tuple(OperationLogEntry(*fields) for fields in tuple(self._op_log))
 
     def add_op_listener(self, fn) -> None:
         """``fn(entry)`` after every operation execution attempt."""

@@ -28,8 +28,8 @@ Routes are the lanes of one elastic worker pool per bus (see
 one stuck in a producer past the drain deadline, which ends once the
 producer returns and serves nothing again.
 
-``deliveries()`` keeps the latest ``DELIVERY_LOG_SIZE`` records; the
-``delivered`` count of ``report()`` is exact.
+``deliveries()`` keeps the latest ``DELIVERY_LOG_SIZE`` records, built when read;
+the ``delivered`` count of ``report()`` is kept per route and is exact.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ class _RouteRuntime:
 
     One condition guards everything the route knows about its exchanges: the
     deque of admitted exchanges, ``_current`` (the exchange the worker took)
-    with its staged delivery records, ``_worker`` (the pool worker serving
-    the route, None while the route is idle), the admission count and
-    whether the consumer is still accepting.
+    with its staged deliveries, ``_worker`` (the pool worker serving the
+    route, None while the route is idle), the admission and delivery counts
+    and whether the consumer is still accepting.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -191,9 +191,10 @@ class _RouteRuntime:
         self._cond = threading.Condition()
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
-        self._staged: list[DeliveryRecord] = []
+        self._staged: list[tuple] = []
         self._worker: Worker | None = None
         self.admitted = 0
+        self.delivered = 0
         self._accepting = False
         self.consumer = None
         self.producers: list[tuple[str, object]] = []
@@ -243,7 +244,7 @@ class _RouteRuntime:
             # the held one first: a worker stuck past the deadline keeps its
             # deliveries so far and records nothing more for a dropped exchange
             if self._current is not None:
-                self.bus._commit_deliveries(self._staged)
+                self._commit_deliveries(self._staged)
                 self.bus._record_dropped(self.route_id, self._current)
                 self._current = None
             for exchange in self._queue:
@@ -279,14 +280,14 @@ class _RouteRuntime:
         worker.thread.name = self.thread_name
         bus = self.bus
         taken = None
-        staged: list[DeliveryRecord] = []
+        staged: list[tuple] = []
         while True:
             with self._cond:
                 # otherwise close dropped ``taken`` and took the route
                 if taken is not None and self._current is taken:
                     self._current = None
                     if staged:
-                        bus._commit_deliveries(staged)
+                        self._commit_deliveries(staged)
                     if not (self._queue and bus._open):
                         self._cond.notify_all()
                 while self._queue and not bus._open and self._worker is worker:
@@ -305,6 +306,11 @@ class _RouteRuntime:
             except Exception:
                 logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
 
+    def _commit_deliveries(self, staged: list[tuple]):
+        # under ``_cond``; a C-level deque.extend is atomic under the GIL: no shared lock
+        self.bus._deliveries.extend(staged)
+        self.delivered += len(staged)
+
     def _record(self, taken: Exchange, record, *args) -> bool:
         """Call ``record(route_id, *args)`` unless stop has dropped ``taken``."""
         with self._cond:
@@ -313,7 +319,7 @@ class _RouteRuntime:
             record(self.route_id, *args)
             return True
 
-    def _process(self, taken: Exchange, staged: list[DeliveryRecord]):
+    def _process(self, taken: Exchange, staged: list[tuple]):
         exchange = taken
         bus = self.bus
         dead_letter = bus._record_dead_letter
@@ -339,7 +345,7 @@ class _RouteRuntime:
                     return
                 continue
             exchange.trace.append(endpoint)
-            staged.append(DeliveryRecord(exchange.id, self.route_id, endpoint, bus.clock.now()))
+            staged.append((exchange.id, self.route_id, endpoint, bus.clock.now()))
             if bus._delivery_listeners:
                 bus._notify_delivery(exchange, self.route_id, endpoint)
 
@@ -372,10 +378,9 @@ class Bus:
         self._running = False
         self._id_lock = threading.Lock()
         self._exchange_counter = 0
-        self._log_lock = threading.Lock()
+        self._log_lock = threading.Lock()  # guards dead letters and dropped exchanges
         self._dead_letters: list[DeadLetter] = []
-        self._deliveries: deque[DeliveryRecord] = deque(maxlen=DELIVERY_LOG_SIZE)
-        self._delivered = 0
+        self._deliveries: deque[tuple] = deque(maxlen=DELIVERY_LOG_SIZE)  # DeliveryRecord fields
         self._dropped: list[DroppedExchange] = []
         self._delivery_listeners: list = []
 
@@ -583,22 +588,25 @@ class Bus:
             return tuple(self._dead_letters)
 
     def deliveries(self) -> tuple[DeliveryRecord, ...]:
-        """The latest ``DELIVERY_LOG_SIZE`` delivery records, oldest first."""
-        with self._log_lock:
-            return tuple(self._deliveries)
+        """The latest ``DELIVERY_LOG_SIZE`` delivery records, oldest first, built when read."""
+        # snapshot first: a generator over the live deque races the workers' commits
+        return tuple(DeliveryRecord(*fields) for fields in tuple(self._deliveries))
 
     def dropped(self) -> tuple[DroppedExchange, ...]:
         with self._log_lock:
             return tuple(self._dropped)
 
     def report(self) -> dict:
+        """Plain-data summary; ``delivered`` is exact, summed over per-route counts."""
+        # snapshot first: a generator over the live dict races add_route
+        routes = tuple(self._routes.values())
         with self._log_lock:
             return {
                 "run_id": self.run_id,
                 "status": "running" if self._running else "stopped",
                 "routes": sorted(self._routes),
                 "exchanges_created": self._exchange_counter,
-                "delivered": self._delivered,
+                "delivered": sum(runtime.delivered for runtime in routes),
                 "dropped": [
                     {"route_id": d.route_id, "exchange": d.exchange} for d in self._dropped
                 ],
@@ -613,11 +621,6 @@ class Bus:
                     for d in self._dead_letters
                 ],
             }
-
-    def _commit_deliveries(self, records: list[DeliveryRecord]):
-        with self._log_lock:
-            self._deliveries.extend(records)
-            self._delivered += len(records)
 
     def _notify_delivery(self, exchange: Exchange, route_id: str, endpoint: str):
         for fn in self._delivery_listeners:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 import time
 
@@ -7,6 +9,7 @@ import pytest
 
 from masbus import Atom, Bus, Number, RouteDefinition, SetHeader, Transform
 from masbus.components import DirectComponent
+from masbus.components.base import Component, Producer
 from masbus.errors import (
     AlreadyRunningError,
     AlreadyStoppedError,
@@ -17,6 +20,7 @@ from masbus.errors import (
     UnknownSchemeError,
     UnknownTransformError,
 )
+from masbus.routing import DELIVERY_LOG_SIZE, DeliveryRecord
 from conftest import CollectorComponent, FailingComponent, wait_for
 
 
@@ -316,3 +320,84 @@ def test_concurrent_injection_keeps_exactly_once():
     assert len(pairs) == 200
     assert len(set(pairs)) == 200
     bus.stop()
+
+
+class _NoopProducer(Producer):
+    def send(self, exchange):
+        pass
+
+
+class _NoopComponent(Component):
+    def create_producer(self, ctx):
+        return _NoopProducer(ctx)
+
+
+def _noop_bus(routes: int) -> Bus:
+    """A bus with ``routes`` direct routes ``r<i>`` into a producer that does nothing."""
+    bus = Bus()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("noop", _NoopComponent())
+    for i in range(routes):
+        bus.add_route(RouteDefinition(f"r{i}", f"direct:x{i}", (), ("noop:y",)))
+    return bus
+
+
+def test_reading_the_delivery_log_while_routes_commit():
+    bus = _noop_bus(8)
+    done = threading.Event()
+    errors = []
+
+    def feed(route_id):
+        for _ in range(2_500):
+            bus.process_exchange(route_id, bus.new_exchange(body=Atom("m")))
+
+    def read():
+        while not done.is_set():
+            try:
+                bus.deliveries()
+                bus.report()
+            except Exception as err:
+                errors.append(err)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    bus.start()
+    reader = threading.Thread(target=read)
+    try:
+        reader.start()
+        feeders = [threading.Thread(target=feed, args=(f"r{i}",)) for i in range(8)]
+        for t in feeders:
+            t.start()
+        for t in feeders:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in feeders)
+        assert bus.wait_until_idle(30.0)
+    finally:
+        done.set()
+        reader.join(10.0)
+        sys.setswitchinterval(interval)
+        bus.stop()
+    assert not reader.is_alive()
+    assert errors == []
+    assert bus.report()["delivered"] == 20_000
+    records = bus.deliveries()
+    assert len(records) == DELIVERY_LOG_SIZE
+    assert all(isinstance(record, DeliveryRecord) for record in records)
+
+
+def test_the_delivery_log_adds_no_gc_tracked_objects():
+    bus = _noop_bus(1)
+    bus.start()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(20_000):
+            bus.process_exchange("r0", bus.new_exchange(body=Atom("m")))
+        assert bus.wait_until_idle(10.0)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+    finally:
+        bus.stop()
+    assert bus.report()["delivered"] == 20_000
+    assert grown < 1_000
