@@ -16,11 +16,11 @@ Delivery guarantees:
   recorded as dropped, per route in admission order, and a dropped exchange
   gets no delivery record after.
 
-``add_route`` and ``start`` are mutually exclusive with exchange processing:
-they close a gate that stops workers taking exchanges and wait out the ones
-taken, so no route of a ``start`` sends before every route is bound. ``stop``
-drains while processing goes on; a failed ``start`` shuts down the same way,
-with no time to drain.
+A route is held while its bus binds it: its consumer may admit, but no
+worker serves it until ``start`` has bound every route, or ``add_route`` the
+new one, and releases it. The routes already running go on meanwhile, and a
+failed ``start`` starts no worker. ``stop`` drains while processing goes on;
+a failed ``start`` shuts down the same way, with no time to drain.
 
 Routes are the lanes of one elastic worker pool per bus (see
 :mod:`masbus.pool`); a worker serving a route is named ``route-<id>``.
@@ -38,7 +38,6 @@ import logging
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .clock import WallClock
@@ -178,8 +177,8 @@ class _RouteRuntime:
     One condition guards everything the route knows about its exchanges: the
     deque of admitted exchanges, ``_current`` (the exchange the worker took)
     with its staged deliveries, ``_worker`` (the pool worker serving the
-    route, None while the route is idle), the admission and delivery counts
-    and whether the consumer is still accepting.
+    route, None while the route is idle, True while it is held), the
+    admission and delivery counts and whether the consumer is still accepting.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -192,7 +191,8 @@ class _RouteRuntime:
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
         self._staged: list[tuple] = []
-        self._worker: Worker | None = None
+        # held: no worker is dispatched until the bus releases the route
+        self._worker: Worker | bool | None = True
         self.admitted = 0
         self.delivered = 0
         self._accepting = False
@@ -250,7 +250,8 @@ class _RouteRuntime:
             for exchange in self._queue:
                 self.bus._record_dropped(self.route_id, exchange)
             self._queue.clear()
-            self._worker = None
+            # a worker left behind ends; a restart starts the route held
+            self._worker = True
             self._cond.notify_all()
         for _, producer in self.producers:
             try:
@@ -260,6 +261,13 @@ class _RouteRuntime:
         self.producers = []
         self.consumer = None
         logger.debug("route %s stopped", self.route_id)
+
+    def release(self):
+        """Let workers serve the route, starting with what it admitted while held."""
+        with self._cond:
+            self._worker = None
+            if self._queue:
+                self._worker = self.bus._pool.dispatch(self)
 
     def emit(self, exchange: Exchange) -> bool:
         with self._cond:
@@ -288,10 +296,8 @@ class _RouteRuntime:
                     self._current = None
                     if staged:
                         self._commit_deliveries(staged)
-                    if not (self._queue and bus._open):
+                    if not self._queue:
                         self._cond.notify_all()
-                while self._queue and not bus._open and self._worker is worker:
-                    self._cond.wait()
                 if self._worker is not worker:
                     return False
                 if not self._queue:
@@ -374,7 +380,6 @@ class Bus:
         self._routes: dict[str, _RouteRuntime] = {}
         self._pool = WorkerPool()
         self._admin = threading.RLock()
-        self._open = True  # workers take exchanges only while it is set
         self._running = False
         self._id_lock = threading.Lock()
         self._exchange_counter = 0
@@ -443,9 +448,9 @@ class Bus:
                 self.component_for(uri.scheme)
             runtime = _RouteRuntime(self, definition)
             if self._running:
-                with self._gate_closed():
-                    runtime.start()
-                    self._routes[route_id] = runtime
+                runtime.start()
+                self._routes[route_id] = runtime
+                runtime.release()
             else:
                 self._routes[route_id] = runtime
             return route_id
@@ -475,16 +480,18 @@ class Bus:
         with self._admin:
             if self._running:
                 raise AlreadyRunningError("bus already running")
-            with self._gate_closed():
-                try:
-                    for runtime in self._routes.values():
-                        runtime.start()
-                    if self._routes:
-                        self._pool.ready()
-                except Exception:
-                    # the gate is closed: no worker holds an exchange to wait for
-                    self._shutdown(time.monotonic())
-                    raise
+            try:
+                for runtime in self._routes.values():
+                    runtime.start()
+                if self._routes:
+                    self._pool.ready()
+            except Exception:
+                # every route is held: no worker holds an exchange to wait for
+                self._shutdown(time.monotonic())
+                raise
+            # no route sends before every route is bound
+            for runtime in self._routes.values():
+                runtime.release()
             self._running = True
             logger.info("bus %s started with %d routes", self.run_id, len(self._routes))
 
@@ -492,8 +499,6 @@ class Bus:
         with self._admin:
             if not self._running:
                 raise AlreadyStoppedError("bus is not running")
-            # the gate stays open: a producer stuck past the deadline must
-            # not hold stop() up
             drained = self._shutdown(time.monotonic() + drain_timeout)
             self._running = False
             logger.info("bus %s stopped (drained=%s)", self.run_id, drained)
@@ -511,23 +516,6 @@ class Bus:
         for worker in self._pool.close():
             worker.thread.join(max(0.0, deadline - time.monotonic()))
         return drained
-
-    @contextmanager
-    def _gate_closed(self):
-        """Exclude exchange processing: no worker holds or takes an exchange."""
-        self._open = False
-        try:
-            for runtime in self._routes.values():
-                with runtime._cond:
-                    runtime._cond.wait_for(lambda: runtime._current is None)
-            yield
-        finally:
-            self._open = True
-            # including a route just added: its consumer may have admitted
-            for runtime in self._routes.values():
-                with runtime._cond:
-                    if runtime._queue:
-                        runtime._cond.notify_all()
 
     # -- exchanges -------------------------------------------------------
 

@@ -52,7 +52,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable
 
 from .acl import AgentBehavior, AgentRegistry, Performative
@@ -150,10 +150,12 @@ class ScenarioConfig:
                 track_waypoints=tuple((float(a), float(b)) for a, b in data["track_waypoints"]),
                 destination=(float(data["destination"][0]), float(data["destination"][1])),
                 near_threshold_km=float(data["near_threshold_km"]),
-                tick_period_ms=float(data.get("tick_period_ms", 50.0)),
-                chat_token=str(data.get("chat_token", "sometoken")),
-                chat_id=str(data.get("chat_id", "-364531")),
-                stage_timeout_s=float(data.get("stage_timeout_s", 10.0)),
+                # a defaulted field left out of the JSON keeps the dataclass default
+                **{
+                    f.name: type(f.default)(data[f.name])
+                    for f in fields(ScenarioConfig)
+                    if f.default is not MISSING and f.name in data
+                },
             )
         except (LookupError, TypeError, ValueError, OverflowError) as err:
             raise ScenarioConfigError(f"bad config field: {err}") from None

@@ -133,7 +133,7 @@ def test_bus_restart_reuses_routes():
     bus.stop()
 
 
-def test_admin_calls_exclude_in_flight_processing():
+def test_add_route_does_not_wait_for_another_routes_exchange():
     import threading
     import time
 
@@ -154,8 +154,8 @@ def test_admin_calls_exclude_in_flight_processing():
     assert entered.wait(2.0)
     t0 = time.monotonic()
     bus.add_route(RouteDefinition("r2", "direct:x2", (), ("collect:y",)))
-    # the admin call had to wait out the in-flight exchange
-    assert time.monotonic() - t0 > 0.05
+    # r2 binds and is released while r's exchange is still in its transform
+    assert time.monotonic() - t0 < 0.1
     bus.process_exchange("r2", bus.new_exchange(body=Atom("n")))
     assert bus.wait_until_idle()
     assert len(collector.exchanges()) == 2

@@ -49,7 +49,7 @@ def test_wait_until_idle_covers_direct_hops_in_any_order(order):
 class _PublishOnStartConsumer(Consumer):
     def start(self):
         self.ctx.bus.component_for("mqttlite").broker("h").publish("t", "1")
-        time.sleep(0.001)  # a's worker reaches the gate before b binds
+        time.sleep(0.001)  # time for a to be served before b binds, were a not held
 
 
 class _PublishOnStartComponent(Component):
@@ -84,7 +84,7 @@ class _EagerConsumer(Consumer):
         for i in range(3):
             self.ctx.emit(self.ctx.new_exchange(body=Number(i)))
         self.ctx.bus.process_exchange("old", self.ctx.bus.new_exchange(body=Number(3)))
-        time.sleep(0.05)  # both workers see the exchanges and wait on the gate
+        time.sleep(0.05)  # old is served meanwhile; this route is held until released
 
 
 class _EagerComponent(Component):
@@ -249,6 +249,79 @@ def test_a_route_stuck_in_its_producer_does_not_delay_another_route():
     assert bus.dropped() == ()
 
 
+def test_add_route_does_not_wait_for_another_routes_stuck_producer():
+    bus = Bus()
+    blocking = _BlockingComponent()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("a", "direct:a", (), ("block:y", "collect:z")))
+    bus.start()
+    try:
+        stuck = bus.new_exchange(body=Number(1))
+        bus.process_exchange("a", stuck)
+        assert blocking.entered.wait(2.0)
+        t0 = time.monotonic()
+        bus.add_route(RouteDefinition("n", "direct:n", (), ("collect:n",)))
+        assert time.monotonic() - t0 < 0.5
+        assert not blocking.returned.is_set()
+        bus.process_exchange("n", bus.new_exchange(body=Number(2)))
+        assert wait_for(lambda: collector.for_route("n"), timeout=1.0)
+        blocking.release.set()
+        assert bus.wait_until_idle(2.0)
+    finally:
+        blocking.release.set()
+        bus.stop()
+    # the blocked exchange went on once it was released, to each producer once
+    assert [(d.exchange_id, d.endpoint) for d in bus.deliveries() if d.route_id == "a"] == [
+        (stuck.id, "block:y"),
+        (stuck.id, "collect:z"),
+    ]
+    assert [ex.body for ex in collector.for_route("a")] == [Number(1)]
+    assert [ex.body for ex in collector.for_route("n")] == [Number(2)]
+    assert bus.dead_letters() == ()
+    assert bus.dropped() == ()
+
+
+def test_add_route_under_traffic_keeps_fifo_and_exactly_once():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("a", "direct:a", (), ("collect:a",)))
+    bus.start()
+
+    def feed(i):
+        for k in range(500):
+            bus.process_exchange("a", bus.new_exchange(body=Number(i * 1000 + k)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        feeders = [threading.Thread(target=feed, args=(i,)) for i in range(4)]
+        for feeder in feeders:
+            feeder.start()
+        # each new route is bound and fed while route a is busy
+        for j in range(50):
+            bus.add_route(RouteDefinition(f"n{j}", f"direct:n{j}", (), ("collect:n",)))
+            bus.process_exchange(f"n{j}", bus.new_exchange(body=Number(j)))
+        for feeder in feeders:
+            feeder.join(10.0)
+        assert not [f for f in feeders if f.is_alive()]
+        assert bus.wait_until_idle(10.0)
+    finally:
+        sys.setswitchinterval(interval)
+        bus.stop()
+    bodies = [ex.body.value for ex in collector.for_route("a")]
+    for i in range(4):
+        assert [b for b in bodies if b // 1000 == i] == list(range(i * 1000, i * 1000 + 500))
+    assert len(bodies) == 2000
+    for j in range(50):
+        assert [ex.body.value for ex in collector.for_route(f"n{j}")] == [j]
+    assert bus.dead_letters() == ()
+
+
 class _FeedOnStartConsumer(Consumer):
     def start(self):
         for i in range(3):
@@ -310,8 +383,8 @@ def test_failed_start_drops_what_started_routes_admitted_and_ends_their_workers(
     dropped = bus.dropped()
     assert [d.route_id for d in dropped] == ["a"] * 3
     assert [d.exchange["body"] for d in dropped] == ["0", "1", "2"]
-    assert started
-    assert wait_for(lambda: not [t for t in started if t.is_alive()], timeout=1.0)
+    # every route was still held: no worker was started to end
+    assert not started
     assert bus.deliveries() == ()
 
     bus.register_transform("tag", lambda ex: None)

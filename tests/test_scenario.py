@@ -217,6 +217,25 @@ def test_config_json_round_trip():
     assert again == cfg
 
 
+def test_from_json_fills_omitted_fields_with_the_dataclass_defaults():
+    cfg = ScenarioConfig(
+        seed=7,
+        supplier_quotes=(("alpha", 10.0), ("beta", 7.5)),
+        track_waypoints=((1.0, 1.0), (0.0, 0.0)),
+        destination=(0.0, 0.0),
+        near_threshold_km=5.0,
+    )
+    required = {
+        "seed": 7,
+        "supplier_quotes": [["alpha", 10.0], ["beta", 7.5]],
+        "track_waypoints": [[1.0, 1.0], [0.0, 0.0]],
+        "destination": [0.0, 0.0],
+        "near_threshold_km": 5.0,
+    }
+    assert ScenarioConfig.from_json(json.dumps(required)) == cfg
+    assert ScenarioConfig.from_json(cfg.to_json()).to_json() == cfg.to_json()
+
+
 def test_config_from_bad_json():
     with pytest.raises(ScenarioConfigError):
         ScenarioConfig.from_json("not json")
