@@ -211,7 +211,7 @@ class AgentRegistry:
         self._dummies: dict[str, Callable[[AclMessage], None]] = {}
         self._msg_ids = itertools.count(1)  # next() on it is atomic: no lock
         self._send_listeners: list = []
-        self._pool = WorkerPool()
+        self._pool = WorkerPool("agent-pool-parked")
         self._stopped = False
         if environment is not None:
             environment.add_percept_listener(self._on_percepts_queued)
@@ -323,12 +323,21 @@ class AgentRegistry:
             agent.worker = self._pool.dispatch(agent)
 
     def _on_percepts_queued(self, agents) -> None:
+        # every worker is taken before any is handed its agent: a thread start
+        # would let an agent handed earlier react, and send into a route, while
+        # the caller (often that route's only worker) is still busy
+        taken = []
         for name in agents:
             agent = self._agents.get(name)
             # a stirred agent takes the new percepts in its next pass: no lock needed
             if agent is not None and agent.on_percept is not None and not agent.stirred:
                 with agent.lock:
-                    self._stir(agent)
+                    agent.stirred = True
+                    if agent.worker is None and not self._stopped:
+                        agent.worker = self._pool.take()
+                        taken.append(agent)
+        for agent in taken:  # a worker handed after stop() ends at once
+            agent.worker.hand(agent)
 
     def _react(self, agent: _Agent, reaction, stimulus) -> None:
         try:

@@ -25,7 +25,7 @@ class _DirectConsumer(Consumer):
         self.component._unbind(self.name, self)
 
     def accept(self, headers, body):
-        # a fresh exchange: each route keeps its own identity and trace
+        # a fresh exchange with a copy of the headers: each route keeps its own identity and trace
         exchange = self.ctx.new_exchange(body=body, headers=headers)
         if not self.ctx.emit(exchange):
             # the sending route dead-letters it instead of losing it silently
@@ -42,7 +42,7 @@ class _DirectProducer(Producer):
         consumer = self.component._consumers.get(self.name)
         if consumer is None:
             raise DirectNoConsumerError(f"no consumer bound to direct:{self.name}")
-        consumer.accept(dict(exchange.headers), exchange.body)
+        consumer.accept(exchange.headers, exchange.body)
 
 
 class DirectComponent(Component):

@@ -1,9 +1,9 @@
 """The mediation engine: exchanges, routes, components and the delivery loop.
 
-A :class:`Bus` owns a set of named components (keyed by URI scheme) and a set
-of routes. Each route has one consumer endpoint that admits data and wraps it
-in an :class:`Exchange`, an ordered processor chain, and one or more producer
-endpoints that receive the processed exchange, in declaration order.
+A :class:`Bus` owns named components (keyed by URI scheme) and routes. A
+route's consumer endpoint wraps what it admits in an :class:`Exchange` whose
+trace starts at that endpoint; an ordered processor chain follows, then one
+or more producer endpoints that receive the exchange in declaration order.
 
 Delivery guarantees:
 
@@ -24,6 +24,7 @@ a failed ``start`` shuts down the same way, with no time to drain.
 
 Routes are the lanes of one elastic worker pool per bus (see
 :mod:`masbus.pool`); a worker serving a route is named ``route-<id>``.
+Lock rounds take a route's C-level lock; its condition only serves waits.
 ``start`` readies one parked worker. No worker outlives ``stop``, except
 one stuck in a producer past the drain deadline, which ends once the
 producer returns and serves nothing again.
@@ -151,34 +152,28 @@ class DroppedExchange:
 class RouteContext:
     """Per-endpoint view handed to components when they build endpoints.
 
-    Consumers use :meth:`new_exchange` and :meth:`emit` to admit data into
-    the route; producers mostly need ``route_id`` and ``bus``.
+    Consumers admit data with ``new_exchange`` and ``emit``, bound straight
+    to the bus's and the route's own methods; ``emit`` starts an empty trace
+    with the route's from-endpoint. Producers mostly need ``route_id`` and ``bus``.
     """
 
     def __init__(self, runtime: "_RouteRuntime", uri: EndpointUri):
         self.bus = runtime.bus
         self.route_id = runtime.route_id
         self.uri = uri
-        self._runtime = runtime
-
-    def new_exchange(self, body: Term, headers: dict[str, Term] | None = None) -> Exchange:
-        ex = self.bus.new_exchange(body=body, headers=headers)
-        ex.trace.append(self._runtime.from_endpoint)
-        return ex
-
-    def emit(self, exchange: Exchange) -> bool:
-        """Hand an exchange to the route; False when the route is shut down."""
-        return self._runtime.emit(exchange)
+        self.new_exchange = runtime.bus.new_exchange
+        self.emit = runtime.emit
 
 
 class _RouteRuntime:
     """One route's consumer, processors and producers, served by a pool worker.
 
-    One condition guards everything the route knows about its exchanges: the
+    One lock guards everything the route knows about its exchanges: the
     deque of admitted exchanges, ``_current`` (the exchange the worker took)
     with its staged deliveries, ``_worker`` (the pool worker serving the
     route, None while the route is idle, True while it is held), the
     admission and delivery counts and whether the consumer is still accepting.
+    Rounds take the C-level ``_lock``; ``_cond`` on it is only for waits.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -187,7 +182,8 @@ class _RouteRuntime:
         self.route_id = definition.route_id
         self.thread_name = f"route-{self.route_id}"
         self.from_endpoint = format_uri(definition.from_uri)
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._queue: deque[Exchange] = deque()
         self._current: Exchange | None = None
         self._staged: list[tuple] = []
@@ -226,25 +222,26 @@ class _RouteRuntime:
                 self.consumer.stop()
             except Exception:
                 logger.exception("consumer stop failed on route %s", self.route_id)
-        with self._cond:
+        with self._lock:
             self._accepting = False
 
     def drain(self, deadline: float) -> bool:
         # deadline is wall time: draining bounds real waiting even when the
         # bus runs on a simulated clock
-        with self._cond:
+        with self._lock:
             return self._cond.wait_for(
                 lambda: not self._queue and self._current is None, deadline - time.monotonic()
             )
 
     def close(self):
         """Drop what is left in admission order, end the worker, stop the producers."""
-        with self._cond:
+        with self._lock:
             self._accepting = False
             # the held one first: a worker stuck past the deadline keeps its
             # deliveries so far and records nothing more for a dropped exchange
             if self._current is not None:
-                self._commit_deliveries(self._staged)
+                self.bus._deliveries.extend(self._staged)
+                self.delivered += len(self._staged)
                 self.bus._record_dropped(self.route_id, self._current)
                 self._current = None
             for exchange in self._queue:
@@ -264,13 +261,15 @@ class _RouteRuntime:
 
     def release(self):
         """Let workers serve the route, starting with what it admitted while held."""
-        with self._cond:
+        with self._lock:
             self._worker = None
             if self._queue:
                 self._worker = self.bus._pool.dispatch(self)
 
     def emit(self, exchange: Exchange) -> bool:
-        with self._cond:
+        if not exchange.trace:
+            exchange.trace.append(self.from_endpoint)
+        with self._lock:
             if not self._accepting:
                 return False
             if self._worker is None:
@@ -290,12 +289,14 @@ class _RouteRuntime:
         taken = None
         staged: list[tuple] = []
         while True:
-            with self._cond:
+            with self._lock:
                 # otherwise close dropped ``taken`` and took the route
                 if taken is not None and self._current is taken:
                     self._current = None
                     if staged:
-                        self._commit_deliveries(staged)
+                        # a C-level deque.extend is atomic under the GIL: no shared lock
+                        bus._deliveries.extend(staged)
+                        self.delivered += len(staged)
                     if not self._queue:
                         self._cond.notify_all()
                 if self._worker is not worker:
@@ -312,14 +313,9 @@ class _RouteRuntime:
             except Exception:
                 logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
 
-    def _commit_deliveries(self, staged: list[tuple]):
-        # under ``_cond``; a C-level deque.extend is atomic under the GIL: no shared lock
-        self.bus._deliveries.extend(staged)
-        self.delivered += len(staged)
-
     def _record(self, taken: Exchange, record, *args) -> bool:
         """Call ``record(route_id, *args)`` unless stop has dropped ``taken``."""
-        with self._cond:
+        with self._lock:
             if self._current is not taken:
                 return False
             record(self.route_id, *args)
@@ -378,7 +374,7 @@ class Bus:
         self._aliases: dict[str, str] = {}
         self._transforms: dict[str, object] = {}
         self._routes: dict[str, _RouteRuntime] = {}
-        self._pool = WorkerPool()
+        self._pool = WorkerPool("route-pool-parked")
         self._admin = threading.RLock()
         self._running = False
         self._id_lock = threading.Lock()
@@ -523,12 +519,8 @@ class Bus:
         with self._id_lock:
             self._exchange_counter += 1
             n = self._exchange_counter
-        return Exchange(
-            id=f"{self.run_id}-x{n}",
-            headers=dict(headers or {}),
-            body=body,
-            created_at=self.clock.now(),
-        )
+        headers = dict(headers) if headers else {}  # the one copy per hop
+        return Exchange(f"{self.run_id}-x{n}", headers, body, self.clock.now())
 
     @property
     def exchanges_created(self) -> int:
@@ -540,8 +532,6 @@ class Bus:
             runtime = self._routes[route_id]
         except KeyError:
             raise UnknownRouteError(f"no route {route_id!r}") from None
-        if not exchange.trace:
-            exchange.trace.append(runtime.from_endpoint)
         if not runtime.emit(exchange):
             raise RouteNotRunningError(f"route {route_id!r} is not running")
 

@@ -481,3 +481,22 @@ def test_stop_racing_stimuli_leaves_no_worker():
     assert wait_for(lambda: set(threading.enumerate()) <= before, timeout=2.0), [
         t.name for t in set(threading.enumerate()) - before
     ]
+
+
+def test_a_parked_agent_worker_is_not_named_as_a_route_worker():
+    before = set(threading.enumerate())
+    reg = AgentRegistry()
+    workers = []
+
+    def on_message(ctx, m):
+        workers.append(threading.current_thread())
+        return []
+
+    reg.spawn_agent("parker", AgentBehavior(on_message=on_message))
+    reg.send_message(tell("x", "parker"))
+    try:
+        assert wait_for(lambda: workers and workers[0].name != "agent-parker")
+        started = set(threading.enumerate()) - before
+        assert [t.name for t in started] == ["agent-pool-parked"]
+    finally:
+        reg.stop()

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 from masbus import (
     AclMessage,
+    AgentBehavior,
     AgentRegistry,
     Atom,
     Bus,
     Environment,
     Number,
     Performative,
+    PropertyChanged,
     RouteDefinition,
     SetHeader,
     String,
     Transform,
+    counter_template,
     parse_route_file,
 )
 from masbus.components import register_builtin_components
-from conftest import CollectorComponent
+from conftest import CollectorComponent, wait_for
 
 NOTIFY_XML = """\
 <routes>
@@ -160,3 +163,39 @@ def test_add_route_does_not_wait_for_another_routes_exchange():
     assert bus.wait_until_idle()
     assert len(collector.exchanges()) == 2
     bus.stop()
+
+
+def test_a_percept_batch_on_a_cold_registry_starts_no_second_route_worker():
+    # the feeding route's worker starts the agents' workers; an agent that
+    # reacted meanwhile would feed route "out" while that worker is busy
+    def on_percept(ctx, percept):
+        # the focus snapshot has no ``old``: only a change is told
+        changed = isinstance(percept, PropertyChanged) and percept.old is not None
+        return [ctx.tell("Out", percept.new)] if changed else []
+
+    workers = []
+    for _ in range(10):
+        env = Environment()
+        env.create_artifact("main", "c", counter_template())
+        registry = AgentRegistry(env)
+        for i in range(4):
+            behavior = AgentBehavior(on_percept=on_percept, initial=lambda ctx: [ctx.focus("c")])
+            registry.spawn_agent(f"a{i}", behavior)
+        bus = Bus()
+        register_builtin_components(bus, registry, env)
+        collector = CollectorComponent()
+        bus.register_component("collect", collector)
+        to = "artifact:main?artifactName=c&operationName=increment"
+        bus.add_route(RouteDefinition("in", "direct:in", (), (to,)))
+        bus.add_route(RouteDefinition("out", "jason:Out", (), ("collect:y",)))
+        bus.start()
+        try:
+            bus.process_exchange("in", bus.new_exchange(body=Number(1)))
+            assert wait_for(lambda: len(collector.exchanges()) == 4)
+            assert bus.wait_until_idle()
+            workers.append(len(bus._pool._workers))
+        finally:
+            bus.stop()
+            registry.stop()
+    # a preempted route worker may rarely let one build grow
+    assert workers.count(1) >= 9, workers

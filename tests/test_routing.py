@@ -9,7 +9,7 @@ import pytest
 
 from masbus import Atom, Bus, Number, RouteDefinition, SetHeader, Transform
 from masbus.components import DirectComponent
-from masbus.components.base import Component, Producer
+from masbus.components.base import Component, Consumer, Producer
 from masbus.errors import (
     AlreadyRunningError,
     AlreadyStoppedError,
@@ -401,3 +401,106 @@ def test_the_delivery_log_adds_no_gc_tracked_objects():
         bus.stop()
     assert bus.report()["delivered"] == 20_000
     assert grown < 1_000
+
+
+class _FeedOnStartConsumer(Consumer):
+    """Admits ``component.count`` exchanges from ``start``, while its route is held."""
+
+    def __init__(self, ctx, component):
+        super().__init__(ctx)
+        self.component = component
+
+    def start(self):
+        body = Atom("m")  # one body: no term is built per exchange
+        for _ in range(self.component.count):
+            self.ctx.emit(self.ctx.new_exchange(body=body))
+
+
+class _FeedOnStartComponent(Component):
+    def __init__(self, count: int):
+        self.count = count
+
+    def create_consumer(self, ctx):
+        return _FeedOnStartConsumer(ctx, self)
+
+
+def _feed_on_start_bus(count: int, to: str = "noop:y") -> Bus:
+    bus = Bus()
+    bus.register_component("feed", _FeedOnStartComponent(count))
+    bus.register_component("noop", _NoopComponent())
+    bus.register_component("collect", CollectorComponent())
+    bus.add_route(RouteDefinition("r", "feed:x", (), (to,)))
+    return bus
+
+
+def _python_calls(count: int) -> int:
+    """Python ``call`` events, on every thread, of a bus run that routes ``count`` exchanges."""
+    bus = _feed_on_start_bus(count)
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # before start: the worker that start readies must count too
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        bus.start()
+        assert bus.wait_until_idle(10.0)
+        bus.stop()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert bus.report()["delivered"] == count
+    return calls
+
+
+def test_a_routed_exchange_costs_at_most_six_python_calls():
+    # minting, admitting, processing and the producer's send; locks and the
+    # clock are C calls, and the difference of two runs cancels the set-up
+    per_exchange = (_python_calls(2_000) - _python_calls(1_000)) / 1_000
+    assert per_exchange <= 6, per_exchange
+
+
+def test_a_consumer_minted_exchange_starts_its_trace_at_the_routes_from_endpoint():
+    bus = _feed_on_start_bus(3, to="collect:y")
+    collector = bus.component_for("collect")
+    bus.start()
+    assert bus.wait_until_idle()
+    bus.stop()
+    traces = [ex.trace for ex in collector.exchanges()]
+    assert traces == [["feed:x", "collect:y"]] * 3
+
+
+def test_process_exchange_keeps_a_trace_already_set():
+    bus, collector = make_bus()
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:y",)))
+    bus.start()
+    exchange = bus.new_exchange(body=Atom("m"))
+    exchange.trace.append("elsewhere:a")
+    bus.process_exchange("r", exchange)
+    assert bus.wait_until_idle()
+    bus.stop()
+    (delivered,) = collector.exchanges()
+    assert delivered.trace == ["elsewhere:a", "collect:y"]
+
+
+def test_routes_across_a_direct_hop_do_not_share_headers():
+    bus, collector = make_bus()
+    up, down = (SetHeader("up", Number(1)),), (SetHeader("down", Number(2)),)
+    bus.add_route(RouteDefinition("a", "direct:in", up, ("direct:hop", "collect:upstream")))
+    bus.add_route(RouteDefinition("b", "direct:hop", down, ("collect:down",)))
+    bus.start()
+    bus.process_exchange("a", bus.new_exchange(body=Atom("m"), headers={"k": Atom("v")}))
+    assert bus.wait_until_idle()
+    bus.stop()
+    (upstream,) = collector.for_route("a")
+    (downstream,) = collector.for_route("b")
+    assert upstream is not downstream
+    # the downstream SetHeader ran after the hop and left the upstream headers alone
+    assert upstream.headers == {"k": Atom("v"), "up": Number(1)}
+    assert downstream.headers == {"k": Atom("v"), "up": Number(1), "down": Number(2)}
+    upstream.headers["late"] = Atom("x")
+    assert "late" not in downstream.headers
