@@ -9,7 +9,7 @@ Delivery guarantees:
 
 * exactly-once per (exchange, producer) pair absent errors;
 * per-route FIFO: exchanges admitted by a route's consumer are processed one
-  at a time, in creation order;
+  at a time, in creation order; a worker takes its route's whole queue at once;
 * failures never crash a route: a failing transform or producer diverts the
   exchange to the bus dead-letter log and the route keeps running;
 * ``stop`` is bounded: exchanges not finished by its drain deadline are
@@ -30,7 +30,8 @@ one stuck in a producer past the drain deadline, which ends once the
 producer returns and serves nothing again.
 
 ``deliveries()`` keeps the latest ``DELIVERY_LOG_SIZE`` records, built when read;
-the ``delivered`` count of ``report()`` is kept per route and is exact.
+the ``delivered`` count of ``report()`` is kept per route and is exact. Both take
+a batch's deliveries when it ends or ``stop`` drops it; listeners run per delivery.
 """
 
 from __future__ import annotations
@@ -76,13 +77,20 @@ class Exchange:
     trace: list[str] = field(default_factory=list)
 
     def snapshot(self) -> dict:
-        """Plain-data copy for dead-letter records and reports."""
+        """Plain-data copy for dead-letter records and reports; never fails on a non-term."""
         return {
             "id": self.id,
-            "headers": {k: render_term(v) for k, v in self.headers.items()},
-            "body": render_term(self.body),
+            "headers": {k: _render(v) for k, v in self.headers.items()},
+            "body": _render(self.body),
             "trace": list(self.trace),
         }
+
+
+def _render(value) -> str:
+    try:
+        return render_term(value)
+    except TypeError:  # not a term, or a structure holding one
+        return repr(value)
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,8 @@ class SetHeader:
 
 @dataclass(frozen=True)
 class Transform:
-    """Processor that applies a bus-registered function to the exchange."""
+    """Processor that applies a bus-registered function to the exchange, which returns
+    None to change the exchange in place or the replacement ``Exchange``."""
 
     name: str
 
@@ -169,11 +178,11 @@ class _RouteRuntime:
     """One route's consumer, processors and producers, served by a pool worker.
 
     One lock guards everything the route knows about its exchanges: the
-    deque of admitted exchanges, ``_current`` (the exchange the worker took)
-    with its staged deliveries, ``_worker`` (the pool worker serving the
-    route, None while the route is idle, True while it is held), the
-    admission and delivery counts and whether the consumer is still accepting.
-    Rounds take the C-level ``_lock``; ``_cond`` on it is only for waits.
+    deque of admitted exchanges, ``_current`` (the batch the worker took; its
+    head is in process) with its staged deliveries, ``_worker`` (the pool
+    worker serving the route, None while the route is idle, True while it is
+    held), the admission and delivery counts and whether the consumer is
+    still accepting. Rounds take the C-level ``_lock``; ``_cond`` is for waits.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -185,7 +194,7 @@ class _RouteRuntime:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._queue: deque[Exchange] = deque()
-        self._current: Exchange | None = None
+        self._current: deque[Exchange] | None = None
         self._staged: list[tuple] = []
         # held: no worker is dispatched until the bus releases the route
         self._worker: Worker | bool | None = True
@@ -194,13 +203,16 @@ class _RouteRuntime:
         self._accepting = False
         self.consumer = None
         self.producers: list[tuple[str, object]] = []
-        self._transforms: dict[str, object] = {}
+        # (name, value, fn): fn is None for a SetHeader, else the transform
+        self._chain: tuple[tuple, ...] = ()
 
     def start(self):
         try:
-            for spec in self.definition.processors:
-                if isinstance(spec, Transform):
-                    self._transforms[spec.name] = self.bus.transform(spec.name)
+            self._chain = tuple(
+                (spec.name, spec.value, None) if isinstance(spec, SetHeader)
+                else (spec.name, None, self.bus.transform(spec.name))
+                for spec in self.definition.processors
+            )
             for uri in self.definition.to_uris:
                 component = self.bus.component_for(uri.scheme)
                 producer = component.create_producer(RouteContext(self, uri))
@@ -237,14 +249,15 @@ class _RouteRuntime:
         """Drop what is left in admission order, end the worker, stop the producers."""
         with self._lock:
             self._accepting = False
-            # the held one first: a worker stuck past the deadline keeps its
-            # deliveries so far and records nothing more for a dropped exchange
-            if self._current is not None:
-                self.bus._deliveries.extend(self._staged)
-                self.delivered += len(self._staged)
-                self.bus._record_dropped(self.route_id, self._current)
-                self._current = None
-            for exchange in self._queue:
+            # the held batch first, head first; C-level copies, which the worker's popleft
+            # and append cannot split: a stuck worker keeps its deliveries so far, no more
+            batch, self._current = self._current, None
+            held = staged = ()
+            if batch is not None:
+                held, staged = tuple(batch), tuple(self._staged)
+            self.bus._deliveries.extend(staged)
+            self.delivered += len(staged)
+            for exchange in held + tuple(self._queue):
                 self.bus._record_dropped(self.route_id, exchange)
             self._queue.clear()
             # a worker left behind ends; a restart starts the route held
@@ -279,19 +292,20 @@ class _RouteRuntime:
         return True
 
     def _serve(self, worker: Worker) -> bool:
-        """Process exchanges on ``worker`` until the queue is empty.
+        """Process batches on ``worker`` until the queue is empty.
 
-        True once the worker parked; False when ``close`` took the route
-        from it, after which it serves nothing again.
+        Each round records the deliveries of the batch it ends, then takes
+        the whole queue as the next batch, ``_current``, whose head is popped
+        once processed. True once the worker parked; False when ``close``
+        took the route from it, after which it serves nothing again.
         """
         worker.thread.name = self.thread_name
         bus = self.bus
-        taken = None
-        staged: list[tuple] = []
+        batch = staged = None
         while True:
             with self._lock:
-                # otherwise close dropped ``taken`` and took the route
-                if taken is not None and self._current is taken:
+                # otherwise close recorded ``staged``, dropped the rest and took the route
+                if batch is not None and self._current is batch:
                     self._current = None
                     if staged:
                         # a C-level deque.extend is atomic under the GIL: no shared lock
@@ -305,51 +319,60 @@ class _RouteRuntime:
                     self._worker = None
                     bus._pool.park(worker)
                     return True
-                taken = self._current = self._queue.popleft()
-                # close commits these itself if it drops ``taken``
+                batch = self._current = self._queue
+                self._queue = deque()
+                # close records these itself if it drops the batch
                 staged = self._staged = []
-            try:
-                self._process(taken, staged)
-            except Exception:
-                logger.exception("route %s failed on exchange %s", self.route_id, taken.id)
+            self._process(batch, staged)
 
-    def _record(self, taken: Exchange, record, *args) -> bool:
-        """Call ``record(route_id, *args)`` unless stop has dropped ``taken``."""
+    def _dead_letter(self, batch: deque, *args) -> bool:
+        """Record a dead letter unless stop has dropped ``batch``; False if it has."""
         with self._lock:
-            if self._current is not taken:
+            if self._current is not batch:
                 return False
-            record(self.route_id, *args)
+            self.bus._record_dead_letter(self.route_id, *args)
             return True
 
-    def _process(self, taken: Exchange, staged: list[tuple]):
-        exchange = taken
+    def _process(self, batch: deque[Exchange], staged: list[tuple]):
         bus = self.bus
-        dead_letter = bus._record_dead_letter
-        for spec in self.definition.processors:
+        route_id = self.route_id
+        chain = self._chain
+        producers = self.producers
+        now = bus.clock.now
+        listeners = bus._delivery_listeners
+        # stop dropped the batch: none of it reaches a later step
+        while batch and self._current is batch:
+            exchange = taken = batch[0]
             try:
-                if isinstance(spec, SetHeader):
-                    exchange.headers[spec.name] = spec.value
+                for name, value, fn in chain:
+                    try:
+                        if fn is None:
+                            exchange.headers[name] = value
+                        elif (result := fn(exchange)) is not None:
+                            if not isinstance(result, Exchange):
+                                raise TypeError(f"transform {name!r} returned {result!r}")
+                            exchange = result
+                    except Exception as err:
+                        self._dead_letter(batch, "transform", None, err, exchange)
+                        break
                 else:
-                    result = self._transforms[spec.name](exchange)
-                    if result is not None:
-                        exchange = result
-            except Exception as err:
-                self._record(taken, dead_letter, "transform", None, err, exchange)
-                return
-        for endpoint, producer in self.producers:
-            # stop dropped the exchange: it reaches no later producer
-            if self._current is not taken:
-                return
-            try:
-                producer.send(exchange)
-            except Exception as err:
-                if not self._record(taken, dead_letter, "producer", endpoint, err, exchange):
-                    return
-                continue
-            exchange.trace.append(endpoint)
-            staged.append((exchange.id, self.route_id, endpoint, bus.clock.now()))
-            if bus._delivery_listeners:
-                bus._notify_delivery(exchange, self.route_id, endpoint)
+                    for endpoint, producer in producers:
+                        if self._current is not batch:
+                            return
+                        try:
+                            producer.send(exchange)
+                        except Exception as err:
+                            if not self._dead_letter(batch, "producer", endpoint, err, exchange):
+                                return
+                            continue
+                        exchange.trace.append(endpoint)
+                        staged.append((exchange.id, route_id, endpoint, now()))
+                        if listeners:
+                            bus._notify_delivery(exchange, route_id, endpoint)
+            except Exception:
+                # contained: the rest of the batch goes on
+                logger.exception("route %s failed on exchange %s", route_id, taken.id)
+            batch.popleft()
 
 
 class Bus:

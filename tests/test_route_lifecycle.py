@@ -8,6 +8,7 @@ import socket
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -223,6 +224,47 @@ def test_stop_drops_the_held_exchange_then_the_queued_ones_in_admission_order():
     assert bus.deliveries() == ()
     assert bus.report()["delivered"] == 0
     assert collector.exchanges() == []
+
+
+class _LogThatLetsTheWorkerOn(deque):
+    """A delivery log whose armed ``extend`` releases a stuck producer and
+    waits until the route's worker has staged the delivery it then made."""
+
+    def __init__(self, blocking, runtime):
+        super().__init__(maxlen=DELIVERY_LOG_SIZE)
+        self.blocking = blocking
+        self.runtime = runtime
+        self.armed = False
+
+    def extend(self, records):
+        super().extend(records)
+        if self.armed:
+            self.armed = False
+            self.blocking.release.set()
+            assert wait_for(lambda: len(self.runtime._staged) == 1, 2.0)
+
+
+def test_stop_counts_exactly_the_deliveries_it_records():
+    bus = Bus()
+    blocking = _BlockingComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("block:y",)))
+    log = bus._deliveries = _LogThatLetsTheWorkerOn(blocking, bus._routes["r"])
+    bus.start()
+    stuck = bus.new_exchange(body=Number(1))
+    bus.process_exchange("r", stuck)
+    assert blocking.entered.wait(2.0)
+    worker = next(t for t in threading.enumerate() if t.name == "route-r")
+    # the stuck send returns while stop records what was staged before the drop
+    log.armed = True
+    bus.stop(drain_timeout=0.1)
+    worker.join(2.0)
+    assert not worker.is_alive()
+    assert not log.armed
+    assert [d.exchange["id"] for d in bus.dropped()] == [stuck.id]
+    assert bus.deliveries() == ()
+    assert bus.report()["delivered"] == 0
 
 
 def test_a_route_stuck_in_its_producer_does_not_delay_another_route():

@@ -20,7 +20,7 @@ from masbus.errors import (
     UnknownSchemeError,
     UnknownTransformError,
 )
-from masbus.routing import DELIVERY_LOG_SIZE, DeliveryRecord
+from masbus.routing import DELIVERY_LOG_SIZE, DeliveryRecord, Exchange
 from conftest import CollectorComponent, FailingComponent, wait_for
 
 
@@ -404,21 +404,21 @@ def test_the_delivery_log_adds_no_gc_tracked_objects():
 
 
 class _FeedOnStartConsumer(Consumer):
-    """Admits ``component.count`` exchanges from ``start``, while its route is held."""
+    """Admits one exchange per body of ``component.bodies`` from ``start``,
+    while its route is held: the worker takes them all as one batch."""
 
     def __init__(self, ctx, component):
         super().__init__(ctx)
         self.component = component
 
     def start(self):
-        body = Atom("m")  # one body: no term is built per exchange
-        for _ in range(self.component.count):
+        for body in self.component.bodies:
             self.ctx.emit(self.ctx.new_exchange(body=body))
 
 
 class _FeedOnStartComponent(Component):
-    def __init__(self, count: int):
-        self.count = count
+    def __init__(self, bodies: list):
+        self.bodies = bodies
 
     def create_consumer(self, ctx):
         return _FeedOnStartConsumer(ctx, self)
@@ -426,7 +426,8 @@ class _FeedOnStartComponent(Component):
 
 def _feed_on_start_bus(count: int, to: str = "noop:y") -> Bus:
     bus = Bus()
-    bus.register_component("feed", _FeedOnStartComponent(count))
+    # one body: no term is built per exchange
+    bus.register_component("feed", _FeedOnStartComponent([Atom("m")] * count))
     bus.register_component("noop", _NoopComponent())
     bus.register_component("collect", CollectorComponent())
     bus.add_route(RouteDefinition("r", "feed:x", (), (to,)))
@@ -504,3 +505,180 @@ def test_routes_across_a_direct_hop_do_not_share_headers():
     assert downstream.headers == {"k": Atom("v"), "up": Number(1), "down": Number(2)}
     upstream.headers["late"] = Atom("x")
     assert "late" not in downstream.headers
+
+
+def test_a_batched_exchange_costs_at_most_four_python_calls():
+    # every exchange fed on start is in one batch, so the chain runs once per
+    # batch: minting, admitting and the producer's send are left
+    _python_calls(10)  # fills the logging level caches first
+    # no collection runs, so no gc callback (hypothesis installs one) is counted
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        per_exchange = (_python_calls(2_000) - _python_calls(1_000)) / 1_000
+    finally:
+        if enabled:
+            gc.enable()
+    assert per_exchange <= 4, per_exchange
+
+
+def test_a_failing_exchange_with_a_non_term_header_is_dead_lettered():
+    bus, _ = make_bus()
+    bus.register_component("failing", FailingComponent())
+
+    def count(ex):
+        ex.headers["n"] = 5
+
+    bus.register_transform("count", count)
+    bus.add_route(RouteDefinition("r", "direct:x", (Transform("count"),), ("failing:z",)))
+    bus.start()
+    bus.process_exchange("r", bus.new_exchange(body=Atom("m")))
+    assert bus.wait_until_idle()
+    bus.stop()
+    (entry,) = bus.dead_letters()
+    assert entry.kind == "producer"
+    assert entry.exchange["headers"] == {"n": "5"}
+
+
+def test_a_transform_that_returns_a_non_exchange_is_dead_lettered():
+    bus, collector = make_bus()
+    bus.register_transform("oops", lambda ex: ex.body)
+    bus.add_route(RouteDefinition("r", "direct:x", (Transform("oops"),), ("collect:y",)))
+    bus.start()
+    bus.process_exchange("r", bus.new_exchange(body=Atom("m")))
+    assert bus.wait_until_idle()
+    bus.stop()
+    assert collector.exchanges() == []
+    assert bus.deliveries() == ()
+    (entry,) = bus.dead_letters()
+    assert entry.kind == "transform"
+    assert entry.error.startswith("TypeError")
+
+
+class _ComponentProducer(Producer):
+    """Hands every exchange to its component's ``send``."""
+
+    def __init__(self, ctx, component):
+        super().__init__(ctx)
+        self.component = component
+
+    def send(self, exchange):
+        self.component.send(exchange)
+
+
+class _StuckOnTenComponent(Component):
+    """Records what its producers sent; blocks on body 10 until released."""
+
+    def __init__(self):
+        self.sent: list = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.returned = threading.Event()
+
+    def create_producer(self, ctx):
+        return _ComponentProducer(ctx, self)
+
+    def send(self, exchange):
+        if exchange.body == Number(10):
+            self.entered.set()
+            self.release.wait(5.0)
+            self.returned.set()
+        self.sent.append(exchange)
+
+
+def test_stop_during_a_stuck_batch_drops_its_rest_and_keeps_its_deliveries():
+    bus = Bus()
+    stuck = _StuckOnTenComponent()
+    bus.register_component("feed", _FeedOnStartComponent([Number(i) for i in range(1, 51)]))
+    bus.register_component("stuck", stuck)
+    bus.add_route(RouteDefinition("r", "feed:x", (), ("stuck:y",)))
+    bus.start()
+    try:
+        assert stuck.entered.wait(5.0)
+        worker = next(t for t in threading.enumerate() if t.name == "route-r")
+        bus.stop(drain_timeout=0.2)
+        at_stop = len(bus.deliveries()), bus.report()["delivered"]
+        dropped = [d.exchange["body"] for d in bus.dropped()]
+    finally:
+        # a failed assertion leaves no worker named route-r stuck for later tests
+        stuck.release.set()
+    assert at_stop == (9, 9)
+    assert dropped == [str(i) for i in range(10, 51)]
+
+    assert stuck.returned.wait(5.0)
+    worker.join(5.0)
+    assert not worker.is_alive()
+    # the dropped exchange that was stuck got no record once its send returned
+    ten = stuck.sent[9]
+    assert ten.body == Number(10)
+    assert len(bus.deliveries()) == 9
+    assert bus.report()["delivered"] == 9
+    assert ten.id not in {d.exchange_id for d in bus.deliveries()}
+
+
+class _FailOnSevensComponent(Component):
+    """Records what its producers sent; fails every body divisible by 7."""
+
+    def __init__(self):
+        self.sent: list = []
+
+    def create_producer(self, ctx):
+        return _ComponentProducer(ctx, self)
+
+    def send(self, exchange):
+        if exchange.body.value % 7 == 0:
+            raise RuntimeError("seven")
+        self.sent.append(exchange)
+
+
+def test_failures_in_one_batch_leave_every_exchange_one_outcome_in_order():
+    bus = Bus()
+    producer = _FailOnSevensComponent()
+    bus.register_component("feed", _FeedOnStartComponent([Number(i) for i in range(1, 101)]))
+    bus.register_component("sevens", producer)
+
+    def fives(ex):
+        if ex.body.value % 5 == 0:
+            raise ValueError("five")
+
+    bus.register_transform("fives", fives)
+    bus.add_route(RouteDefinition("r", "feed:x", (Transform("fives"),), ("sevens:y",)))
+    bus.start()
+    assert bus.wait_until_idle()
+    bus.stop()
+
+    delivered = [d.exchange_id for d in bus.deliveries()]
+    dead = [d.exchange["id"] for d in bus.dead_letters()]
+    assert len(delivered) + len(dead) == 100
+    assert len(set(delivered) | set(dead)) == 100
+    assert delivered == [ex.id for ex in producer.sent]
+    assert [ex.body.value for ex in producer.sent] == [
+        i for i in range(1, 101) if i % 5 and i % 7
+    ]
+    kinds = {d.exchange["body"]: d.kind for d in bus.dead_letters()}
+    assert kinds == {
+        str(i): "transform" if i % 5 == 0 else "producer"
+        for i in range(1, 101)
+        if i % 5 == 0 or i % 7 == 0
+    }
+    assert bus.dropped() == ()
+
+
+def test_an_exchange_failing_outside_the_chain_does_not_stop_its_batch():
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("feed", _FeedOnStartComponent([Number(i) for i in range(1, 6)]))
+    bus.register_component("collect", collector)
+
+    def untraceable(ex):
+        # a replacement whose trace cannot grow fails after the producer's send
+        if ex.body == Number(3):
+            return Exchange(ex.id, ex.headers, ex.body, ex.created_at, trace=())
+
+    bus.register_transform("untraceable", untraceable)
+    bus.add_route(RouteDefinition("r", "feed:x", (Transform("untraceable"),), ("collect:y",)))
+    bus.start()
+    assert bus.wait_until_idle()
+    bus.stop()
+    assert [ex.body.value for ex in collector.exchanges()] == [1, 2, 3, 4, 5]
+    assert bus.report()["delivered"] == 4
