@@ -146,7 +146,8 @@ class _Agent:
     """A local agent; one that reacts is a lane of the registry's pool.
 
     ``lock`` guards the mailbox, ``stirred`` (a stimulus came since the
-    last take) and ``worker`` (the pool worker serving the agent, or None).
+    last take) and ``worker`` (the pool worker serving the agent, ``QUEUED``
+    while it waits for one, True while it is held, or None).
     """
 
     def __init__(self, registry: "AgentRegistry", name: str, behavior: AgentBehavior | None):
@@ -161,12 +162,12 @@ class _Agent:
         self.context = AgentContext(name)
         self.stirred = False
         # the spawning thread holds the lane until the initial effects have run
-        self.worker: Worker | bool | None = True
+        self.worker: Worker | str | bool | None = True
 
     def _serve(self, worker: Worker) -> bool:
-        """React in passes until nothing stirs the agent; True once the
-        worker parked, False when the registry stopped."""
-        worker.thread.name = self.thread_name
+        """React in passes until nothing stirs the agent; True once it is
+        idle, False when the registry stopped."""
+        worker.name = self.thread_name
         environment = self.registry.environment if self.on_percept is not None else None
         while True:
             with self.lock:
@@ -174,8 +175,8 @@ class _Agent:
                     return False
                 if not self.stirred:
                     self.worker = None
-                    self.registry._pool.park(worker)
                     return True
+                self.worker = worker
                 # cleared before taking: a stimulus queued after the take stirs again
                 self.stirred = False
                 messages = ()
@@ -197,10 +198,10 @@ class AgentRegistry:
     monotonic counter prefixed with ``run_id``.
 
     A local agent that reacts is a lane of the registry's worker pool: a
-    stimulus it reacts to stirs it, and a stirred agent with no worker gets
-    one, so spawning starts no thread. Each pass takes every queued message
-    and then every queued percept, and reacts to the percepts in ``seq``
-    order, then to the messages in arrival order.
+    stimulus it reacts to stirs it, and a stirred agent that is idle is
+    dispatched to the pool, so spawning starts no thread. Each pass takes
+    every queued message and then every queued percept, and reacts to the
+    percepts in ``seq`` order, then to the messages in arrival order.
     """
 
     def __init__(self, environment: Environment | None = None, *, run_id: str = "reg"):
@@ -310,34 +311,25 @@ class AgentRegistry:
         after its current reaction; none is waited for."""
         self._stopped = True
         for agent in list(self._agents.values()):
-            with agent.lock:  # after this no worker of the agent parks or is dispatched
+            with agent.lock:  # after this the agent is not dispatched again
                 pass
         self._pool.close()
 
     # -- behavior execution ---------------------------------------------------
 
     def _stir(self, agent: _Agent) -> None:
-        """Give ``agent`` a pass, and a worker if it has none; hold ``agent.lock``."""
+        """Give ``agent`` a pass, dispatching it if it is idle; hold ``agent.lock``."""
         agent.stirred = True
         if agent.worker is None and not self._stopped:
             agent.worker = self._pool.dispatch(agent)
 
     def _on_percepts_queued(self, agents) -> None:
-        # every worker is taken before any is handed its agent: a thread start
-        # would let an agent handed earlier react, and send into a route, while
-        # the caller (often that route's only worker) is still busy
-        taken = []
         for name in agents:
             agent = self._agents.get(name)
             # a stirred agent takes the new percepts in its next pass: no lock needed
             if agent is not None and agent.on_percept is not None and not agent.stirred:
                 with agent.lock:
-                    agent.stirred = True
-                    if agent.worker is None and not self._stopped:
-                        agent.worker = self._pool.take()
-                        taken.append(agent)
-        for agent in taken:  # a worker handed after stop() ends at once
-            agent.worker.hand(agent)
+                    self._stir(agent)
 
     def _react(self, agent: _Agent, reaction, stimulus) -> None:
         try:

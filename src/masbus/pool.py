@@ -1,99 +1,119 @@
 """An elastic worker pool whose threads serve serial lanes: routes, agents.
 
-A lane has a ``thread_name`` and a ``_serve(worker)`` that works off the
-lane's queue and returns True once it parked the worker, False when the
-worker is to end. A lane that gets work while no worker serves it gets the
-most recently parked worker, and the pool starts a new thread only when
-every worker is busy: a busy lane never waits for another, so distinct
-lanes run concurrently. A worker keeps its lane until the lane's queue is
-empty, then parks; while it serves a lane its thread is named after it,
-and while it is parked after its pool.
+A lane that goes from idle to having work calls ``dispatch``, which appends
+it to the pool's FIFO ready queue and returns ``QUEUED``, the lane's owner
+until a worker claims it in the lane's ``_serve(worker)``. That returns True
+once the lane is idle, or at once if the lane was taken while it waited, and
+False when the worker is to end. At most one worker is waking at a time:
+``dispatch`` wakes the most recently parked worker, or starts one, only when
+none is on its way, and a worker that takes a lane wakes one more while lanes
+still wait. So a lane waits for a thread on its way, never behind a busy
+lane, and a burst on one CPU starts one thread, not one per lane. A worker
+that finishes a lane takes the next waiting one before it parks. A serving
+worker is named after its lane (``thread_name``), a parked one after its pool.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
+
+# a lane's owner while it waits in a ready queue
+QUEUED = "queued"
 
 
-class Worker:
-    """A pool thread and the lane it serves, or None once it is told to end.
+class Worker(threading.Thread):
+    """A pool thread, parked on ``wake``; it ends once ``close`` moves its pool past ``epoch``."""
 
-    The worker takes ``wake`` before each lane; whoever hands it a lane
-    releases ``wake``, before or after the worker blocks on it. A new
-    worker starts parked.
-    """
-
-    __slots__ = ("lane", "wake", "thread")
-
-    def __init__(self, name: str):
-        self.lane = None
+    def __init__(self, pool: "WorkerPool"):
+        super().__init__(name=pool._parked_name, daemon=True)
+        self.pool = pool
+        self.epoch = pool._epoch
         self.wake = threading.Lock()
         self.wake.acquire()
-        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
 
-    def _run(self):
-        while True:
-            self.wake.acquire()
-            if self.lane is None or not self.lane._serve(self):
-                return
-
-    def hand(self, lane):
-        """Let the worker, which serves no lane, serve ``lane``."""
-        self.lane = lane
-        self.wake.release()
+    def run(self):
+        self.wake.acquire()
+        lane = self.pool._take(self, True)
+        while lane is not None and lane._serve(self):
+            lane = self.pool._take(self, False)
 
 
 class WorkerPool:
-    """The workers of one bus or registry: never more than lanes were busy at once.
+    """The workers of one bus or registry, and the lanes waiting for one.
 
-    Callers hold the lane's lock; ``list.append`` and ``list.pop`` are
-    atomic, so the pool needs no lock of its own.
-    """
+    One lock guards the ready queue, the workers, ``_waking`` (a worker was
+    woken or started and has not taken a lane yet) and the epoch. Lanes
+    dispatch holding their own lock; the pool never takes a lane's."""
 
     def __init__(self, parked_name: str):
-        # names a worker that serves no lane; a serving one takes the lane's name
         self._parked_name = parked_name
+        self._lock = threading.Lock()
+        self._ready: deque = deque()
+        self._waking = False
+        self._epoch = 0
         self._parked: list[Worker] = []
         self._workers: list[Worker] = []
 
-    def dispatch(self, lane) -> Worker:
-        worker = self.take()
-        worker.hand(lane)
-        return worker
+    def dispatch(self, lane) -> str:
+        """Queue ``lane`` for a worker; returns ``QUEUED``. A failed thread start
+        leaves the lane unqueued and no worker waking, and raises."""
+        with self._lock:
+            self._ready.append(lane)
+            if not self._waking:
+                try:
+                    self._wake()
+                except BaseException:
+                    self._ready.pop()
+                    raise
+        return QUEUED
 
-    def take(self) -> Worker:
-        """The most recently parked worker, or a new one, for the caller to ``hand`` a lane.
+    def _wake(self):
+        """Wake the most recently parked worker, or start one; hold the lock."""
+        if self._parked:
+            worker = self._parked.pop()
+        else:
+            worker = Worker(self)
+            worker.start()
+            self._workers.append(worker)
+        self._waking = True
+        worker.wake.release()
 
-        A caller that needs several workers takes them all before handing
-        any its lane, so no lane it hands runs while it starts a thread.
-        """
-        try:
-            return self._parked.pop()
-        except IndexError:
-            return self._start(Worker(self._parked_name))
+    def _take(self, worker: Worker, woken: bool):
+        """The next waiting lane, parking ``worker`` while none waits; None: it is to end."""
+        while True:
+            with self._lock:
+                if worker.epoch != self._epoch:
+                    return None
+                if woken:
+                    self._waking = False
+                if self._ready:
+                    lane = self._ready.popleft()
+                    if self._ready and not self._waking:
+                        try:
+                            self._wake()
+                        except RuntimeError:
+                            pass  # no thread: the lanes left wait for this worker's next take
+                    return lane
+                worker.name = self._parked_name
+                self._parked.append(worker)
+            worker.wake.acquire()
+            woken = True
 
     def ready(self):
-        """Start one parked worker, so the first work need not wait for a thread."""
-        self._parked.append(self._start(Worker(self._parked_name)))
-
-    def _start(self, worker: Worker) -> Worker:
-        worker.thread.start()
-        self._workers.append(worker)
-        return worker
-
-    def park(self, worker: Worker):
-        worker.thread.name = self._parked_name
-        self._parked.append(worker)
+        """Start a worker, which parks, so the first work need not wait for a thread."""
+        with self._lock:
+            self._wake()
 
     def close(self) -> list[Worker]:
-        """End the parked workers; returns every worker, for the caller to wait for.
-
-        Call once no lane will park a worker again: a worker still serving
-        ends by itself when its lane's ``_serve`` returns False.
-        """
-        parked, self._parked = self._parked, []
-        workers, self._workers = self._workers, []
+        """Forget the waiting lanes, end the parked and waking workers and return every
+        worker, to wait for; a serving one ends when ``_serve`` is False or at its take."""
+        with self._lock:
+            self._epoch += 1
+            self._ready.clear()
+            self._waking = False
+            parked, self._parked = self._parked, []
+            workers, self._workers = self._workers, []
         for worker in parked:
-            worker.lane = None
             worker.wake.release()
         return workers

@@ -10,8 +10,8 @@ Delivery guarantees:
 * exactly-once per (exchange, producer) pair absent errors;
 * per-route FIFO: exchanges admitted by a route's consumer are processed one
   at a time, in creation order; a worker takes its route's whole queue at once;
-* failures never crash a route: a failing transform or producer diverts the
-  exchange to the bus dead-letter log and the route keeps running;
+* failures never crash a route: a failing transform, producer or other step
+  diverts the exchange to the bus dead-letter log and the route keeps running;
 * ``stop`` is bounded: exchanges not finished by its drain deadline are
   recorded as dropped, per route in admission order, and a dropped exchange
   gets no delivery record after.
@@ -54,7 +54,7 @@ from .errors import (
     UnknownSchemeError,
     UnknownTransformError,
 )
-from .pool import Worker, WorkerPool
+from .pool import QUEUED, Worker, WorkerPool
 from .terms import Term, render_term
 from .uris import EndpointUri, as_uri, format_uri
 
@@ -145,7 +145,7 @@ class DeliveryRecord:
 @dataclass(frozen=True)
 class DeadLetter:
     route_id: str
-    kind: str  # "transform" or "producer"
+    kind: str  # "transform", "producer" or "route"
     endpoint: str | None
     error: str
     exchange: dict
@@ -180,9 +180,10 @@ class _RouteRuntime:
     One lock guards everything the route knows about its exchanges: the
     deque of admitted exchanges, ``_current`` (the batch the worker took; its
     head is in process) with its staged deliveries, ``_worker`` (the pool
-    worker serving the route, None while the route is idle, True while it is
-    held), the admission and delivery counts and whether the consumer is
-    still accepting. Rounds take the C-level ``_lock``; ``_cond`` is for waits.
+    worker serving the route, None while the route is idle, ``QUEUED`` while
+    it waits for a worker, True while it is held), the admission and
+    delivery counts and whether the consumer is still accepting. Rounds take
+    the C-level ``_lock``; ``_cond`` is for waits.
     """
 
     def __init__(self, bus: "Bus", definition: RouteDefinition):
@@ -196,8 +197,8 @@ class _RouteRuntime:
         self._queue: deque[Exchange] = deque()
         self._current: deque[Exchange] | None = None
         self._staged: list[tuple] = []
-        # held: no worker is dispatched until the bus releases the route
-        self._worker: Worker | bool | None = True
+        # held: the route is not dispatched until the bus releases it
+        self._worker: Worker | str | bool | None = True
         self.admitted = 0
         self.delivered = 0
         self._accepting = False
@@ -292,16 +293,17 @@ class _RouteRuntime:
         return True
 
     def _serve(self, worker: Worker) -> bool:
-        """Process batches on ``worker`` until the queue is empty.
+        """Claim the queued route for ``worker`` and process batches until the queue is empty.
 
-        Each round records the deliveries of the batch it ends, then takes
-        the whole queue as the next batch, ``_current``, whose head is popped
-        once processed. True once the worker parked; False when ``close``
-        took the route from it, after which it serves nothing again.
+        Each round records the deliveries of the batch it ends, then takes the
+        whole queue as the next batch, ``_current``, whose head is popped once
+        processed. True once the route is idle, or if ``close`` took it while
+        queued; False if ``close`` took it from ``worker``, which then ends.
         """
-        worker.thread.name = self.thread_name
+        worker.name = self.thread_name
         bus = self.bus
         batch = staged = None
+        owner = QUEUED
         while True:
             with self._lock:
                 # otherwise close recorded ``staged``, dropped the rest and took the route
@@ -313,12 +315,12 @@ class _RouteRuntime:
                         self.delivered += len(staged)
                     if not self._queue:
                         self._cond.notify_all()
-                if self._worker is not worker:
-                    return False
+                if self._worker is not owner:
+                    return owner is QUEUED
                 if not self._queue:
                     self._worker = None
-                    bus._pool.park(worker)
                     return True
+                owner = self._worker = worker
                 batch = self._current = self._queue
                 self._queue = deque()
                 # close records these itself if it drops the batch
@@ -342,7 +344,7 @@ class _RouteRuntime:
         listeners = bus._delivery_listeners
         # stop dropped the batch: none of it reaches a later step
         while batch and self._current is batch:
-            exchange = taken = batch[0]
+            exchange = batch[0]
             try:
                 for name, value, fn in chain:
                     try:
@@ -369,9 +371,9 @@ class _RouteRuntime:
                         staged.append((exchange.id, route_id, endpoint, now()))
                         if listeners:
                             bus._notify_delivery(exchange, route_id, endpoint)
-            except Exception:
-                # contained: the rest of the batch goes on
-                logger.exception("route %s failed on exchange %s", route_id, taken.id)
+            except Exception as err:
+                # contained outside the chain and the sends too: the rest of the batch goes on
+                self._dead_letter(batch, "route", None, err, exchange)
             batch.popleft()
 
 
@@ -415,23 +417,20 @@ class Bus:
         return self._running
 
     def register_component(self, scheme: str, component) -> None:
-        with self._admin:
-            if self._running:
-                raise BusRunningError("cannot register components while running")
-            EndpointUri(scheme, "")  # validates the scheme token
-            if scheme in self._components or scheme in self._aliases:
-                raise DuplicateSchemeError(f"scheme {scheme!r} already registered")
-            self._components[scheme] = component
+        self._register(self._components, "components", scheme, component)
 
     def register_alias(self, scheme: str, target: str) -> None:
         """Let URIs written with ``scheme`` resolve to the ``target`` component."""
+        self._register(self._aliases, "aliases", scheme, target)
+
+    def _register(self, table: dict, kind: str, scheme: str, value) -> None:
         with self._admin:
             if self._running:
-                raise BusRunningError("cannot register aliases while running")
-            EndpointUri(scheme, "")
+                raise BusRunningError(f"cannot register {kind} while running")
+            EndpointUri(scheme, "")  # validates the scheme token
             if scheme in self._components or scheme in self._aliases:
                 raise DuplicateSchemeError(f"scheme {scheme!r} already registered")
-            self._aliases[scheme] = target
+            table[scheme] = value
 
     def register_transform(self, name: str, fn) -> None:
         with self._admin:
@@ -533,7 +532,7 @@ class Bus:
         for runtime in routes:
             runtime.close()
         for worker in self._pool.close():
-            worker.thread.join(max(0.0, deadline - time.monotonic()))
+            worker.join(max(0.0, deadline - time.monotonic()))
         return drained
 
     # -- exchanges -------------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import os
 import string
 import threading
 import time
+
+import pytest
 
 from masbus import Atom, ListTerm, Number, String, Structure
 from masbus.components.base import Component, Producer
@@ -17,6 +21,19 @@ def wait_for(predicate, timeout=5.0, interval=0.005) -> bool:
             return True
         pause.wait(interval)
     return bool(predicate())
+
+
+@contextlib.contextmanager
+def pinned_to_one_cpu():
+    """Run the block with the calling thread on one CPU; threads it starts inherit that."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available")
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 _ATOM_HEADS = string.ascii_lowercase

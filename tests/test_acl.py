@@ -25,7 +25,7 @@ from masbus.errors import (
     UnknownAgentError,
     UnknownReceiverError,
 )
-from conftest import wait_for
+from conftest import pinned_to_one_cpu, wait_for
 
 
 def tell(sender, receiver, content=Atom("hi")):
@@ -481,6 +481,32 @@ def test_stop_racing_stimuli_leaves_no_worker():
     assert wait_for(lambda: set(threading.enumerate()) <= before, timeout=2.0), [
         t.name for t in set(threading.enumerate()) - before
     ]
+
+
+def test_a_percept_batch_on_one_cpu_starts_one_agent_worker_not_one_per_agent():
+    env = Environment()
+    env.create_artifact("main", "c", counter_template())
+    reg = AgentRegistry(env)
+    reacted = []
+
+    def on_percept(ctx, percept):
+        reacted.append(ctx.name)
+        return []
+
+    for i in range(4):
+        behavior = AgentBehavior(on_percept=on_percept, initial=lambda ctx: [ctx.focus("c")])
+        reg.spawn_agent(f"a{i}", behavior)
+    before = set(threading.enumerate())
+    reacted.clear()  # the focus snapshots
+    with pinned_to_one_cpu():
+        try:
+            env.execute_op(OperationRequest("c", "increment"))
+            assert wait_for(lambda: len(set(reacted)) == 4)
+            started = set(threading.enumerate()) - before
+        finally:
+            reg.stop()
+    # the worker the batch wakes, and the one it wakes while agents still wait
+    assert len(started) <= 2, [t.name for t in started]
 
 
 def test_a_parked_agent_worker_is_not_named_as_a_route_worker():

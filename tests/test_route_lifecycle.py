@@ -12,12 +12,13 @@ from collections import deque
 
 import pytest
 
-from masbus import Bus, Number, RouteDefinition, Transform
+from masbus import Bus, Number, RouteDefinition, SetHeader, Transform
 from masbus.components import DirectComponent, register_builtin_components
 from masbus.components.base import Component, Consumer, Producer
 from masbus.errors import UnknownTransformError
+from masbus.pool import Worker
 from masbus.routing import DELIVERY_LOG_SIZE
-from conftest import CollectorComponent, wait_for
+from conftest import CollectorComponent, pinned_to_one_cpu, wait_for
 
 CHAIN = (
     RouteDefinition("a", "direct:in", (), ("direct:hop1",)),
@@ -502,6 +503,169 @@ def test_worker_pool_keeps_fifo_and_exactly_once_under_frequent_thread_switches(
         assert [b for b in bodies if b // 1000 == i] == list(range(i * 1000, i * 1000 + 100)) * 3
     assert bus.report()["delivered"] == 3 * 2 * 600
     assert bus.dead_letters() == ()
+    assert bus.dropped() == ()
+
+
+def test_a_burst_on_one_cpu_starts_one_route_worker_not_one_per_route(monkeypatch):
+    started = _route_thread_starts(monkeypatch)
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", collector)
+    for k in range(8):
+        steps = (SetHeader("source", Number(k)), SetHeader("hop", Number(1)))
+        bus.add_route(RouteDefinition(f"src-{k}", f"direct:src-{k}", steps, ("direct:sink",)))
+    bus.add_route(RouteDefinition("sink", "direct:sink", (), ("collect:y",)))
+    with pinned_to_one_cpu():
+        bus.start()
+        try:
+            for i in range(32):
+                bus.process_exchange(f"src-{i % 8}", bus.new_exchange(body=Number(i)))
+            assert bus.wait_until_idle(2.0)
+        finally:
+            bus.stop()
+    assert sorted(ex.body.value for ex in collector.exchanges()) == list(range(32))
+    # the worker start readies, and the one it wakes while routes still wait
+    assert len(started) <= 2, [t.name for t in started]
+
+
+class _GatheringComponent(Component):
+    """Producers note their route in ``inside``, then wait in ``send`` until released."""
+
+    def __init__(self):
+        self.inside: list[str] = []
+        self.release = threading.Event()
+
+    def create_producer(self, ctx):
+        return _GatheringProducer(ctx, self)
+
+
+class _GatheringProducer(Producer):
+    def __init__(self, ctx, component):
+        super().__init__(ctx)
+        self.component = component
+
+    def send(self, exchange):
+        self.component.inside.append(self.ctx.route_id)
+        self.component.release.wait(5.0)
+
+
+def test_no_route_waits_behind_a_busy_route():
+    bus = Bus()
+    gathering = _GatheringComponent()
+    bus.register_component("feed", _FeedOnStartComponent())
+    bus.register_component("gather", gathering)
+    # each route admits while held, so all three wait for a worker at once
+    for name in "abc":
+        bus.add_route(RouteDefinition(name, f"feed:{name}", (), ("gather:y",)))
+    bus.start()
+    try:
+        assert wait_for(lambda: len(gathering.inside) == 3, timeout=1.0), gathering.inside
+        assert sorted(gathering.inside) == ["a", "b", "c"]
+    finally:
+        gathering.release.set()
+        bus.stop()
+    assert bus.report()["delivered"] == 9
+
+
+def test_a_worker_waking_at_stop_serves_nothing_after_a_restart(monkeypatch):
+    started = _route_thread_starts(monkeypatch)
+    gate = threading.Event()
+    gated = []
+    run = Worker.run
+
+    def gated_run(worker):
+        if not gated:  # the worker the first start readies
+            gated.append(threading.current_thread())
+            gate.wait(5.0)
+        run(worker)
+
+    monkeypatch.setattr(Worker, "run", gated_run)
+    bus = Bus()
+    servers = []
+    bus.add_delivery_listener(lambda ex, route_id, endpoint: servers.append(threading.current_thread()))
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("collect", CollectorComponent())
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:y",)))
+    bus.start()
+    try:
+        # wakes the readied worker, which is held at the gate
+        bus.process_exchange("r", bus.new_exchange(body=Number(1)))
+        bus.stop(drain_timeout=0.1)
+        first_run = list(started)
+        bus.start()
+        gate.set()
+        assert wait_for(lambda: not gated[0].is_alive(), timeout=2.0)
+        bus.process_exchange("r", bus.new_exchange(body=Number(2)))
+        assert bus.wait_until_idle(2.0)
+    finally:
+        gate.set()
+        bus.stop()
+    assert [d.exchange["body"] for d in bus.dropped()] == ["1"]
+    assert len(servers) == 1
+    assert servers[0] not in first_run
+    assert not [t for t in started if t.is_alive()]
+
+
+def test_a_failed_thread_start_strands_no_route(monkeypatch):
+    started = _route_thread_starts(monkeypatch)
+    bus = Bus()
+    blocking = _BlockingComponent()
+    collector = CollectorComponent()
+    bus.register_component("direct", DirectComponent())
+    bus.register_component("block", blocking)
+    bus.register_component("collect", collector)
+    bus.add_route(RouteDefinition("a", "direct:a", (), ("block:y",)))
+    bus.add_route(RouteDefinition("b", "direct:b", (), ("collect:z",)))
+    bus.start()
+    try:
+        # a holds the readied worker: b needs a thread of its own
+        bus.process_exchange("a", bus.new_exchange(body=Number(1)))
+        assert blocking.entered.wait(2.0)
+        thread_start = threading.Thread.start
+
+        def fail_once(thread):
+            monkeypatch.setattr(threading.Thread, "start", thread_start)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", fail_once)
+        with pytest.raises(RuntimeError):
+            bus.process_exchange("b", bus.new_exchange(body=Number(2)))
+        bus.process_exchange("b", bus.new_exchange(body=Number(3)))
+        assert wait_for(collector.exchanges, timeout=1.0)
+        assert not blocking.returned.is_set()
+    finally:
+        blocking.release.set()
+        bus.stop()
+    assert [ex.body for ex in collector.exchanges()] == [Number(3)]
+    assert bus.report()["delivered"] == 2
+    assert bus.dropped() == ()
+    # the readied worker and b's: a lane left queued by the failure would wake a third
+    assert len(started) == 2, [t.name for t in started]
+
+
+def test_a_worker_that_cannot_start_another_serves_the_waiting_routes_itself(monkeypatch):
+    thread_start = threading.Thread.start
+
+    def main_thread_only(thread):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("can't start new thread")
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", main_thread_only)
+    bus = Bus()
+    collector = CollectorComponent()
+    bus.register_component("feed", _FeedOnStartComponent())
+    bus.register_component("collect", collector)
+    # all three wait at once: the readied worker tries to wake a second for b and c
+    for name in "abc":
+        bus.add_route(RouteDefinition(name, f"feed:{name}", (), ("collect:y",)))
+    bus.start()
+    try:
+        assert bus.wait_until_idle(2.0)
+    finally:
+        bus.stop()
+    assert sorted(ex.body.value for ex in collector.exchanges()) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert bus.dropped() == ()
 
 

@@ -444,6 +444,9 @@ def _python_calls(count: int) -> int:
         if event == "call":
             calls += 1
 
+    # no collection runs, so no gc callback (hypothesis installs one) is counted
+    enabled = gc.isenabled()
+    gc.disable()
     # before start: the worker that start readies must count too
     threading.setprofile(hook)
     sys.setprofile(hook)
@@ -454,6 +457,8 @@ def _python_calls(count: int) -> int:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
+        if enabled:
+            gc.enable()
     assert bus.report()["delivered"] == count
     return calls
 
@@ -681,4 +686,25 @@ def test_an_exchange_failing_outside_the_chain_does_not_stop_its_batch():
     assert bus.wait_until_idle()
     bus.stop()
     assert [ex.body.value for ex in collector.exchanges()] == [1, 2, 3, 4, 5]
+    assert bus.report()["delivered"] == 4
+
+
+def test_an_exchange_failing_outside_the_chain_is_dead_lettered_as_a_route_failure():
+    bus = Bus()
+    bus.register_component("feed", _FeedOnStartComponent([Number(i) for i in range(1, 6)]))
+    bus.register_component("collect", CollectorComponent())
+
+    def untraceable(ex):
+        if ex.body == Number(3):
+            return Exchange(ex.id, ex.headers, ex.body, ex.created_at, trace=())
+
+    bus.register_transform("untraceable", untraceable)
+    bus.add_route(RouteDefinition("r", "feed:x", (Transform("untraceable"),), ("collect:y",)))
+    bus.start()
+    assert bus.wait_until_idle()
+    bus.stop()
+    (entry,) = bus.dead_letters()
+    assert (entry.route_id, entry.kind, entry.endpoint) == ("r", "route", None)
+    assert entry.exchange["body"] == "3"
+    assert entry.error.startswith("AttributeError")
     assert bus.report()["delivered"] == 4
