@@ -5,7 +5,9 @@ optionally, a reactive behavior executed serially as a lane of the
 registry's worker pool. A *dummy* agent is the in-system counterpart of an
 external entity: it has no mailbox, and anything sent to it is converted to
 an exchange and injected into the route it is bound to. From the sender's
-point of view both kinds are addressed identically.
+point of view both kinds are addressed identically. Effects are plain
+records owned by the behavior that returns them; an :class:`AclMessage` is
+frozen, as its mailbox, the send listeners and a dummy's route share it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .environment import AgentOrigin, Environment, OperationRequest, Percept
@@ -66,23 +68,23 @@ class Delivery(enum.Enum):
 # -- effects -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Send:
     message: AclMessage
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArtifactOp:
     request: OperationRequest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Focus:
     workspace: str | None
     artifact: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Log:
     entry: Term
 
@@ -108,15 +110,20 @@ class AgentBehavior:
 class AgentContext:
     """Handed to behaviors: private state plus effect constructors."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, next_msg_id: Callable[[], str]):
         self.name = name
         self.state: dict = {}
+        self._next_msg_id = next_msg_id
 
     def tell(self, receiver: str, content: Term) -> Send:
-        return Send(AclMessage(self.name, receiver, Performative.TELL, content))
+        return Send(
+            AclMessage(self.name, receiver, Performative.TELL, content, self._next_msg_id())
+        )
 
     def achieve(self, receiver: str, content: Term) -> Send:
-        return Send(AclMessage(self.name, receiver, Performative.ACHIEVE, content))
+        return Send(
+            AclMessage(self.name, receiver, Performative.ACHIEVE, content, self._next_msg_id())
+        )
 
     def op(
         self,
@@ -159,7 +166,7 @@ class _Agent:
         self.mailbox: deque[AclMessage] = deque()
         self.lock = threading.Lock()
         self.log: list[Term] = []
-        self.context = AgentContext(name)
+        self.context = AgentContext(name, registry.next_msg_id)
         self.stirred = False
         # the spawning thread holds the lane until the initial effects have run
         self.worker: Worker | str | bool | None = True
@@ -194,8 +201,8 @@ class AgentRegistry:
     """Names, mailboxes and delivery for local and dummy agents.
 
     Local delivery enqueues into the receiver's mailbox; delivery to a dummy
-    hands the message to the bound route. Message ids are minted from a
-    monotonic counter prefixed with ``run_id``.
+    hands the message to the bound route. Message ids, ``run_id`` plus a
+    monotonic count, are minted as an agent builds a message, else on send.
 
     A local agent that reacts is a lane of the registry's worker pool: a
     stimulus it reacts to stirs it, and a stirred agent that is idle is
@@ -254,10 +261,7 @@ class AgentRegistry:
     def send_message(self, message: AclMessage) -> Delivery:
         """Deliver locally when possible, otherwise through the bound route."""
         if not message.msg_id:
-            m = message
-            message = AclMessage(
-                m.sender, m.receiver, m.performative, m.content, self.next_msg_id(), m.in_reply_to
-            )
+            message = replace(message, msg_id=self.next_msg_id())
         # registration writes these dicts under the lock; one get needs none
         agent = self._agents.get(message.receiver)
         if agent is not None:

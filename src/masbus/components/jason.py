@@ -26,6 +26,7 @@ class _JasonConsumer(Consumer):
         super().__init__(ctx)
         self.registry = registry
         self.dummy_name = ctx.uri.path
+        self.receiver = String(self.dummy_name)
 
     def start(self):
         self.registry.register_dummy(self.dummy_name, self.ctx.route_id, self._deliver)
@@ -37,7 +38,7 @@ class _JasonConsumer(Consumer):
         headers: dict[str, Term] = {
             "performative": _PERFORMATIVE_TERMS[message.performative],
             "sender": String(message.sender),
-            "receiver": String(message.receiver),
+            "receiver": self.receiver,
             "msgId": String(message.msg_id),
         }
         self.ctx.emit(self.ctx.new_exchange(body=message.content, headers=headers))
@@ -65,6 +66,7 @@ class _JasonProducer(Producer):
             receiver=self.target,
             performative=performative,
             content=exchange.body,
+            msg_id=self.registry.next_msg_id(),
         )
         self.registry.send_message(message)
 

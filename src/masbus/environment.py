@@ -2,9 +2,10 @@
 
 Artifacts are passive entities grouped into workspaces. Agents focus on an
 artifact to observe it; every observable-property change and every signal
-then reaches each current observer as a :class:`Percept`. Operations run
-atomically per artifact: two operations on the same artifact never
-interleave, while distinct artifacts execute concurrently.
+then reaches each current observer as a :class:`Percept` of its own, a
+plain record (like :class:`OperationRequest`) that its receiver owns.
+Operations run atomically per artifact: two operations on the same artifact
+never interleave, while distinct artifacts execute concurrently.
 
 An artifact can also address the outside world by queueing
 :class:`OutboundPayload` entries on its outbox, which a route consumer may
@@ -62,7 +63,7 @@ class RouteOrigin:
 Origin = AgentOrigin | RouteOrigin
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OperationRequest:
     """Ask an artifact to run one of its operations.
 
@@ -79,7 +80,8 @@ class OperationRequest:
     def __post_init__(self):
         if not self.artifact_name or not self.operation_name:
             raise ValueError("artifact and operation names must be non-empty")
-        object.__setattr__(self, "params", tuple(self.params))
+        if type(self.params) is not tuple:
+            self.params = tuple(self.params)
 
 
 @dataclass
@@ -101,21 +103,21 @@ class OpResult:
         return self.status == "ok"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Percept:
     agent: str
     artifact: str
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PropertyChanged(Percept):
     prop: str = ""
     old: Term | None = None
     new: Term = Atom("nil")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SignalPercept(Percept):
     label: str = ""
     payload: Term = Atom("nil")

@@ -92,7 +92,7 @@ def structure(functor: str, args) -> Term:
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_REVERSE_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+_REVERSE_ESCAPES = str.maketrans({"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"})
 # lists and structures nest at most this deep, so hostile input cannot
 # exhaust the stack of the parser or of later recursive rendering
 MAX_TERM_DEPTH = 100
@@ -149,9 +149,12 @@ class _Parser:
             raise self.error("malformed number")
         self.pos = m.end()
         literal = m.group(0)
-        if m.group(1) is None and m.group(2) is None:
-            return Number(int(literal))
-        return Number(float(literal))
+        try:
+            if m.group(1) is None and m.group(2) is None:
+                return Number(int(literal))
+            return Number(float(literal))
+        except ValueError:  # a float that overflows, or more digits than int() takes
+            raise TermSyntaxError("number out of range", m.start()) from None
 
     def string(self) -> String:
         self.expect('"')
@@ -231,8 +234,7 @@ def render_term(term: Term) -> str:
     if isinstance(term, Number):
         return repr(term.value)
     if isinstance(term, String):
-        quoted = "".join(_REVERSE_ESCAPES.get(c, c) for c in term.text)
-        return f'"{quoted}"'
+        return f'"{term.text.translate(_REVERSE_ESCAPES)}"'
     if isinstance(term, Structure):
         args = ",".join(render_term(a) for a in term.args)
         return f"{term.functor}({args})"

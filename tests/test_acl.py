@@ -121,6 +121,27 @@ def test_msg_ids_are_monotonic_with_run_prefix():
     assert ids == ["test7-m1", "test7-m2"]
 
 
+def test_an_agents_message_ids_run_in_tell_order():
+    reg = AgentRegistry()
+    reg.spawn_agent("b")
+    reg.spawn_agent(
+        "a",
+        AgentBehavior(
+            initial=lambda ctx: [
+                ctx.tell("b", Number(1)),
+                ctx.achieve("b", Number(2)),
+                ctx.tell("b", Number(3)),
+            ]
+        ),
+    )
+    received = [reg.receive("b") for _ in range(3)]
+    assert [m.msg_id for m in received] == ["reg-m1", "reg-m2", "reg-m3"]
+    assert [m.content for m in received] == [Number(1), Number(2), Number(3)]
+    # a message sent without an id still gets the next one
+    reg.send_message(tell("a", "b"))
+    assert reg.receive("b").msg_id == "reg-m4"
+
+
 def test_delivery_trichotomy_signature_is_identical_for_dummy():
     # the sender cannot tell a dummy apart from a local agent
     reg = AgentRegistry()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from masbus import (
     AclMessage,
+    AgentBehavior,
     AgentRegistry,
     Atom,
     Bus,
@@ -31,8 +32,10 @@ from masbus.components.httplite import serve_http
 from masbus.errors import (
     ConsumerUnsupportedError,
     MissingParamError,
+    TermSyntaxError,
     UnknownArtifactError,
 )
+from masbus.terms import parse_term, payload_to_term
 from conftest import CollectorComponent, wait_for
 
 
@@ -71,6 +74,28 @@ def test_jason_consumer_builds_exchange_with_exact_headers(stack):
     assert ex.headers["sender"] == String("delivery_agent")
     assert ex.headers["receiver"] == String("DummyCustomerAgent")
     assert ex.body == Atom("done")
+
+
+def test_a_told_message_is_built_once(stack, monkeypatch):
+    bus, registry, _, _, collector = stack
+    bus.add_route(RouteDefinition("r", "jason:Customer", (), ("collect:y",)))
+    bus.start()
+    built = []
+    post_init = AclMessage.__post_init__
+
+    def counted_post_init(message):
+        built.append(message)
+        post_init(message)
+
+    monkeypatch.setattr(AclMessage, "__post_init__", counted_post_init)
+    registry.spawn_agent(
+        "notifier", AgentBehavior(initial=lambda ctx: [ctx.tell("Customer", Atom("near"))])
+    )
+    assert bus.wait_until_idle()
+    (ex,) = collector.exchanges()
+    assert ex.headers["msgId"] == String("reg-m1")
+    assert ex.headers["receiver"] == String("Customer")
+    assert len(built) == 1
 
 
 def test_jason_consumer_keeps_structured_content_as_body(stack):
@@ -325,6 +350,30 @@ def test_mqtt_unparseable_payload_becomes_string_term(stack):
     assert collector.exchanges()[0].body == String("Not A Term")
 
 
+@pytest.mark.parametrize(
+    "text, position", [("[1e999,2]", 1), ("-1e999", 0), ("f(1, 2e400)", 5)]
+)
+def test_a_number_that_overflows_is_a_syntax_error_at_its_start(text, position):
+    with pytest.raises(TermSyntaxError) as raised:
+        parse_term(text)
+    assert raised.value.position == position
+    assert "number out of range" in str(raised.value)
+    assert payload_to_term(text) == String(text)
+
+
+def test_mqtt_publish_of_an_overflowing_number_reaches_the_route_as_text(stack):
+    bus, _, _, components, collector = stack
+    bus.add_route(
+        RouteDefinition(
+            "r", "mqttlite:foo?host=h&subscribeTopicName=t", (), ("collect:y",)
+        )
+    )
+    bus.start()
+    components["mqttlite"].broker("h").publish("t", "1e999")  # returns, raises nothing
+    assert wait_for(lambda: collector.exchanges())
+    assert collector.exchanges()[0].body == String("1e999")
+
+
 def test_mqtt_publish_without_subscribers_is_noop(stack):
     _, _, _, components, _ = stack
     broker = components["mqttlite"].broker("h")
@@ -407,6 +456,19 @@ def test_tcpline_deeply_nested_line_is_admitted_as_text(stack):
     # the connection survives the hostile line and admits the next one
     assert wait_for(lambda: len(collector.exchanges()) == 2)
     assert [ex.body for ex in collector.exchanges()] == [String(deep), Number(1)]
+
+
+def test_tcpline_overflowing_number_is_admitted_as_text(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    with socket.create_connection(bus.consumer("in").address) as conn:
+        conn.sendall(b"one\n[1e999,2]\nthree\n")
+    assert wait_for(lambda: len(collector.exchanges()) == 3)
+    assert [ex.body for ex in collector.exchanges()] == [
+        Atom("one"), String("[1e999,2]"), Atom("three"),
+    ]
+    assert bus.dead_letters() == ()
 
 
 def test_tcpline_undecodable_line_spares_its_neighbours(stack):
@@ -513,6 +575,15 @@ def test_httplite_consumer_maps_requests_to_exchanges(stack):
     assert ex.body == __import__("masbus").parse_term("f(1)")
     assert ex.headers["HttpMethod"] == String("POST")
     assert ex.headers["HttpPath"] == String("/hook")
+
+
+def test_httplite_consumer_answers_an_overflowing_number_and_admits_it_as_text(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
+    bus.start()
+    assert _post(bus.consumer("in").address, b"1e999") == 200
+    assert wait_for(lambda: collector.exchanges())
+    assert [ex.body for ex in collector.exchanges()] == [String("1e999")]
 
 
 def test_httplite_consumer_ends_kept_alive_connection_at_stop(stack):

@@ -117,6 +117,25 @@ def test_property_change_reaches_each_observer_once():
         assert p.prop == "flag" and p.old is None and p.new == Atom("up")
 
 
+def test_each_observer_gets_its_own_percept():
+    env = Environment()
+    env.create_artifact("main", "a", flag_template())
+    env.create_artifact("main", "b", flag_template())
+    env.focus("x", None, "b")  # two snapshot seqs, so x and y differ in seq
+    env.focus("x", None, "a")
+    env.focus("y", None, "a")
+    env.execute_op(request("a", "setFlag", [Atom("up")]))
+    (px,), (py,) = drain_percepts(env, "x"), drain_percepts(env, "y")
+    assert px is not py
+    assert (px.agent, px.seq) == ("x", 5)
+    assert (py.agent, py.seq) == ("y", 3)
+    assert px == PropertyChanged("x", "a", 5, "flag", None, Atom("up"))
+    # a percept belongs to its receiver, which may write to it
+    px.new = Atom("changed")
+    assert py.new == Atom("up")
+    assert env.artifact("a").properties["flag"] == Atom("up")
+
+
 def test_unchanged_write_produces_no_percept():
     env = Environment()
     env.create_artifact("main", "a", flag_template())
