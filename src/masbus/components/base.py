@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import select
 import socket
 import threading
 import time
@@ -20,7 +21,10 @@ from ..uris import EndpointUri, format_uri
 
 logger = logging.getLogger(__name__)
 
-CONNECTION_JOIN_S = 1.0  # how long ``Listener.close`` waits for connection threads
+SEND_TIMEOUT_S = 1.0  # how long a write to a connection may wait for its peer to read
+RECV_BYTES = 65_536  # bytes asked for in one read of a connection
+ACCEPT_PAUSE_S = 0.005  # first pause after a failed accept; each next one doubles
+ACCEPT_PAUSE_MAX_S = 1.0
 
 
 class Consumer:
@@ -52,55 +56,92 @@ class Producer:
 
 
 class Listener:
-    """A listening TCP socket whose connections are served in daemon threads.
+    """A listening TCP socket whose connections are all served by one daemon thread.
 
-    The thread named ``name`` blocks in ``accept()`` with no timeout and
-    starts one thread per connection, which runs ``handle(conn, address)``
-    and then closes ``conn``. :meth:`close` sets the stop flag, wakes the
-    blocked ``accept()`` by shutting the listening socket down, joins the
-    accept thread and only then closes the socket, so once it returns no
-    accept thread is left and the port can be bound again. It then shuts
-    down the reading side of each open connection, so a handler waiting for
-    input reads end-of-file while one answering can still write, and joins
-    the connection threads for at most ``CONNECTION_JOIN_S`` in all.
+    The thread named ``name`` polls the listening socket and every open
+    connection. At accept, ``protocol(conn, address)`` returns the
+    connection's ``feed``; the thread calls ``feed(data)`` with the bytes as
+    they arrive and ``feed(b"")`` at the end of the stream, and closes the
+    connection once ``feed`` returns False or raises. ``feed`` runs on this
+    thread, so one that blocks holds up the other connections; a write to a
+    peer that does not read fails after ``SEND_TIMEOUT_S``. A failed accept
+    is tried again after a pause that doubles from ``ACCEPT_PAUSE_S`` to
+    ``ACCEPT_PAUSE_MAX_S``, while the open connections are still served.
+
+    :meth:`close` shuts the listening socket down to wake the thread, which
+    ends each open connection as if its peer had closed, with writes bounded
+    by ``SEND_TIMEOUT_S`` in all, closes every socket and exits. ``close``
+    joins it, unless called from a ``feed``, so once it returns the port can
+    be bound again.
     """
 
-    def __init__(self, address: tuple[str, int], handle, name: str):
+    def __init__(self, address: tuple[str, int], protocol, name: str):
         self._sock = socket.create_server(address)
+        self._sock.setblocking(False)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
-        self._handle = handle
+        self._protocol = protocol
         self._stopping = False
-        self._connections: dict[socket.socket, threading.Thread] = {}
-        self._connections_lock = threading.Lock()
-        self._thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
+        self._thread = threading.Thread(target=self._poll_loop, name=name, daemon=True)
         self._thread.start()
 
-    def _accept_loop(self):
-        name = self._thread.name
-        while True:
-            try:
-                conn, address = self._sock.accept()
-            except OSError:
-                if self._stopping:
-                    return
-                logger.exception("%s: accept failed", name)
-                continue
-            thread = threading.Thread(
-                target=self._serve, args=(conn, address), name=f"{name}-conn", daemon=True
-            )
-            with self._connections_lock:
-                self._connections[conn] = thread
-            thread.start()
+    def _poll_loop(self):
+        listening = self._sock.fileno()
+        poller = select.poll()
+        poller.register(listening, select.POLLIN)
+        connections: dict[int, tuple] = {}  # fd: (socket, peer address, feed)
+        pause = 0.0  # after the last failed accept
+        resume_at = None  # when a failed accept is tried again
+        try:
+            while True:
+                if resume_at is None:
+                    events = poller.poll()
+                else:
+                    events = poller.poll(max(0.0, resume_at - time.monotonic()) * 1000)
+                    if time.monotonic() >= resume_at:
+                        poller.modify(listening, select.POLLIN)
+                        resume_at = None
+                for fd, _ in events:
+                    if fd != listening:
+                        conn, address, feed = connections[fd]
+                        if not self._receive(conn, address, feed):
+                            poller.unregister(fd)
+                            del connections[fd]
+                            conn.close()
+                        continue
+                    if self._stopping:
+                        return
+                    try:
+                        conn, address = self._sock.accept()
+                    except OSError:
+                        logger.exception("%s: accept failed", self._thread.name)
+                        pause = min(2 * pause, ACCEPT_PAUSE_MAX_S) if pause else ACCEPT_PAUSE_S
+                        resume_at = time.monotonic() + pause
+                        poller.modify(listening, 0)  # close() still wakes the poll
+                        continue
+                    pause = 0.0
+                    conn.settimeout(SEND_TIMEOUT_S)
+                    connections[conn.fileno()] = conn, address, self._protocol(conn, address)
+                    poller.register(conn, select.POLLIN)
+        finally:
+            self._sock.close()
+            deadline = time.monotonic() + SEND_TIMEOUT_S
+            for conn, address, feed in connections.values():
+                with contextlib.suppress(OSError):  # the peer is gone already
+                    conn.shutdown(socket.SHUT_RD)  # a read past what was sent ends the stream
+                    conn.settimeout(max(0.0, deadline - time.monotonic()))
+                    while time.monotonic() < deadline and self._receive(conn, address, feed):
+                        pass
+                conn.close()
 
-    def _serve(self, conn: socket.socket, address):
-        with conn:
-            try:
-                self._handle(conn, address)
-            except Exception:
-                logger.exception("%s: connection from %s failed", self._thread.name, address)
-            finally:
-                with self._connections_lock:
-                    self._connections.pop(conn, None)
+    def _receive(self, conn: socket.socket, address, feed) -> bool:
+        """Feeds one read of ``conn``; False once the connection is to be closed."""
+        try:
+            return feed(conn.recv(RECV_BYTES))
+        except OSError:
+            return False  # the peer went away, or did not read in time
+        except Exception:
+            logger.exception("%s: connection from %s failed", self._thread.name, address)
+            return False
 
     def close(self) -> None:
         self._stopping = True
@@ -108,17 +149,8 @@ class Listener:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # closed before
-        self._thread.join()
-        self._sock.close()
-        # under the lock: a connection still listed is not closed yet
-        with self._connections_lock:
-            for conn in self._connections:
-                with contextlib.suppress(OSError):  # the peer is gone already
-                    conn.shutdown(socket.SHUT_RD)
-            threads = list(self._connections.values())
-        deadline = time.monotonic() + CONNECTION_JOIN_S
-        for thread in threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
+        if threading.current_thread() is not self._thread:
+            self._thread.join()
 
 
 class Component:

@@ -13,8 +13,11 @@ response is discarded.
 As consumer the endpoint runs a listener: every incoming request becomes an
 exchange (headers ``HttpMethod`` and ``HttpPath``, parsed body) and is
 answered with an empty 200, or 503 once the route no longer admits
-exchanges. Connections are kept alive between requests, and every answer
-is written in one piece. A request body is framed by ``Content-Length``
+exchanges. The listener's one thread serves every connection: a request is
+parsed again from its start as its bytes arrive until it is whole, and at
+the end of the stream what is left is parsed as all there is. Connections
+are kept alive between requests, pipelined requests are answered in order,
+and every answer is written in one piece. A request body is framed by ``Content-Length``
 only: a length that is not a non-negative integer, a body shorter than it
 or one that is not UTF-8 is answered 400, a ``Transfer-Encoding`` 501, and
 a length over ``MAX_BODY`` (16 MiB) 413, before any of the body is read.
@@ -22,12 +25,13 @@ The standard library server's limits hold: a request line over 65,536
 bytes is answered 414, a longer header line or more than 100 header lines
 431, a malformed request line 400 and a method other than GET or POST 501.
 Every answer but 200 closes the connection, as does ``Connection: close``
-or an HTTP/1.0 request; ``Expect: 100-continue`` is answered before the
-body is read. Port 0 binds a free port, exposed as ``address``.
+or an HTTP/1.0 request; ``Expect: 100-continue`` is answered once per
+request, before its body is read. Port 0 binds a free port, exposed as ``address``.
 """
 
 from __future__ import annotations
 
+import io
 import socket
 from http import HTTPStatus
 
@@ -124,9 +128,36 @@ def _phrase(status: int) -> str:
 # -- server --------------------------------------------------------------------
 
 
-def _read_request(reader, conn: socket.socket) -> tuple[str, str, bool, str] | None:
-    """``(method, target, keep_alive, text)`` of the next request on
-    ``conn``, or None when the peer ended the connection before one."""
+class _Incomplete(Exception):
+    """The bytes received so far end inside a request."""
+
+
+class _Received:
+    """A reader over the bytes received so far that raises ``_Incomplete``
+    where a line or a body runs past them."""
+
+    def __init__(self, data: bytearray):
+        self._data = data
+        self._pos = 0
+
+    def tell(self) -> int:
+        return self._pos
+
+    def readline(self, limit: int) -> bytes:
+        end = self._data.find(b"\n", self._pos, self._pos + limit) + 1 or self._pos + limit
+        return self.read(end - self._pos)
+
+    def read(self, size: int) -> bytes:
+        start = self._pos
+        if len(self._data) - start < size:
+            raise _Incomplete
+        self._pos += size
+        return bytes(self._data[start : self._pos])
+
+
+def _read_request(reader, send_continue) -> tuple[str, str, bool, str] | None:
+    """``(method, target, keep_alive, text)`` of the next request in
+    ``reader``, or None when the peer ended the connection before one."""
     line = _read_line(reader, 414)
     if not line:
         return None
@@ -142,7 +173,7 @@ def _read_request(reader, conn: socket.socket) -> tuple[str, str, bool, str] | N
     length = _content_length(headers) or 0
     keep_alive = version == "HTTP/1.1" and headers.get("connection", "").lower() != "close"
     if headers.get("expect", "").lower() == "100-continue":
-        conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        send_continue()
     try:
         text = _read_exactly(reader, length).decode("utf-8")
     except UnicodeDecodeError:
@@ -150,40 +181,54 @@ def _read_request(reader, conn: socket.socket) -> tuple[str, str, bool, str] | N
     return method, target, keep_alive, text
 
 
-def _serve_connection(conn: socket.socket, respond) -> None:
-    with conn.makefile("rb") as reader:
-        while True:
-            try:
-                request = _read_request(reader, conn)
-            except HttpMessageError as err:
-                status, body, keep_alive = err.status, "", False
-            else:
-                if request is None:
-                    return
-                method, target, keep_alive, text = request
-                status, body = respond(method, target, text)
-            close = status != 200 or not keep_alive
-            start = f"HTTP/1.1 {status} {_phrase(status)}"
-            conn.sendall(_message(start, body.encode("utf-8"), close))
-            if close:
-                return
-
-
 def serve_http(address: tuple[str, int], respond, name: str) -> Listener:
     """Serve HTTP/1.1 GET and POST on ``address`` until the listener is closed.
 
-    ``respond(method, path, text)`` returns ``(status, body text)``. A request
-    that breaks the framing is answered 400, 414, 431 or 501 without calling
+    ``respond(method, path, text)`` returns ``(status, body text)``. It runs
+    on the listener's one thread, so it must not block. A request that
+    breaks the framing is answered 400, 413, 414, 431 or 501 without calling
     ``respond``; any status but 200 also closes the connection.
     """
 
-    def handle(conn: socket.socket, _peer):
-        try:
-            _serve_connection(conn, respond)
-        except ConnectionError:
-            pass  # the peer went away; nothing is left to answer
+    def connection(conn: socket.socket, _peer):
+        received = bytearray()  # from the start of the first request not yet answered
+        continued = False  # 100 Continue was sent for that request
 
-    return Listener(address, handle, name)
+        def send_continue():
+            nonlocal continued
+            if not continued:
+                continued = True
+                conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+
+        def feed(data: bytes) -> bool:
+            nonlocal continued
+            received.extend(data)
+            # at the end of the stream a plain reader takes what is left as all there is
+            reader = _Received(received) if data else io.BytesIO(received)
+            while True:
+                start = reader.tell()
+                try:
+                    request = _read_request(reader, send_continue)
+                except _Incomplete:
+                    del received[:start]
+                    return True
+                except HttpMessageError as err:
+                    status, body, keep_alive = err.status, "", False
+                else:
+                    if request is None:
+                        return False
+                    continued = False
+                    method, target, keep_alive, text = request
+                    status, body = respond(method, target, text)
+                close = status != 200 or not keep_alive
+                start_line = f"HTTP/1.1 {status} {_phrase(status)}"
+                conn.sendall(_message(start_line, body.encode("utf-8"), close))
+                if close:
+                    return False
+
+        return feed
+
+    return Listener(address, connection, name)
 
 
 class _HttpConsumer(Consumer):

@@ -6,7 +6,10 @@ decoded on its own: a line that is not UTF-8 is admitted as a string term
 of its text with every undecodable byte written as ``\\xNN``, and the lines
 around it are admitted as usual. A line of more than ``MAX_LINE`` bytes
 (64 KiB, its newline included) is discarded up to its newline with a logged
-warning, never held whole, and the lines around it are admitted. The
+warning, never held whole, and the lines around it are admitted. A last
+line without a newline is admitted at the end of its stream, and no line is
+admitted once ``stop`` has begun. The listener's one thread serves every
+connection, splitting each one's bytes into lines as they arrive. The
 producer opens a connection per send and writes the rendered body plus
 newline.
 Binding to port 0 picks a free port; the bound address is exposed on the
@@ -44,7 +47,7 @@ class _TcpLineConsumer(Consumer):
         self._stopping = False
 
     def start(self):
-        self._listener = Listener((self.host, self.port), self._read_lines, "tcpline-accept")
+        self._listener = Listener((self.host, self.port), self._connection, "tcpline-accept")
         self.address = self._listener.address
 
     def stop(self):
@@ -53,28 +56,56 @@ class _TcpLineConsumer(Consumer):
             self._listener.close()
             self._listener = None
 
-    def _read_lines(self, conn: socket.socket, address):
-        with conn.makefile("rb") as reader:
-            while True:
-                line = reader.readline(MAX_LINE + 1)
-                if not line or self._stopping:
-                    return
-                if len(line) > MAX_LINE:
-                    while line and not line.endswith(b"\n"):
-                        line = reader.readline(MAX_LINE + 1)
-                    logger.warning(
-                        "tcpline %s: discarded a line over %d bytes from %s",
-                        self.ctx.route_id, MAX_LINE, address,
-                    )
-                    continue
-                line = line.rstrip(b"\n")
-                if not line:
-                    continue
-                try:
-                    body = payload_to_term(line.decode("utf-8"))
-                except UnicodeDecodeError:
-                    body = String(line.decode("utf-8", "backslashreplace"))
-                self.ctx.emit(self.ctx.new_exchange(body=body))
+    def _connection(self, conn: socket.socket, address):
+        """The ``feed`` of one connection: admits each line as its newline comes."""
+        held = bytearray()  # the start of a line whose newline has not come yet
+        skipping = False  # inside a discarded line, up to its newline
+
+        def discard():
+            logger.warning(
+                "tcpline %s: discarded a line over %d bytes from %s",
+                self.ctx.route_id, MAX_LINE, address,
+            )
+
+        def feed(data: bytes) -> bool:
+            nonlocal skipping
+            *lines, rest = data.split(b"\n")
+            for line in lines:
+                if held:
+                    line = held + line
+                    held.clear()
+                if skipping:
+                    skipping = False
+                elif len(line) >= MAX_LINE:  # over MAX_LINE with its newline
+                    discard()
+                elif line and not self._admit(line):
+                    return False
+            if not data:  # the end of the stream: a last line needs no newline
+                if held:
+                    self._admit(held)
+                return False
+            if skipping:
+                return True
+            if len(held) + len(rest) > MAX_LINE:
+                held.clear()
+                skipping = True
+                discard()
+            else:
+                held.extend(rest)
+            return True
+
+        return feed
+
+    def _admit(self, line) -> bool:
+        """Emits one exchange of ``line``; False, admitting nothing, once stop has begun."""
+        if self._stopping:
+            return False
+        try:
+            body = payload_to_term(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            body = String(line.decode("utf-8", "backslashreplace"))
+        self.ctx.emit(self.ctx.new_exchange(body=body))
+        return True
 
 
 class _TcpLineProducer(Producer):

@@ -77,7 +77,7 @@ class Exchange:
     trace: list[str] = field(default_factory=list)
 
     def snapshot(self) -> dict:
-        """Plain-data copy for dead-letter records and reports; never fails on a non-term."""
+        """Plain-data copy for dead-letter records and reports; never fails."""
         return {
             "id": self.id,
             "headers": {k: _render(v) for k, v in self.headers.items()},
@@ -90,7 +90,13 @@ def _render(value) -> str:
     try:
         return render_term(value)
     except TypeError:  # not a term, or a structure holding one
-        return repr(value)
+        try:
+            return repr(value)
+        except Exception:
+            pass
+    except Exception:  # such as an int past the int-to-str digit limit
+        pass
+    return f"<unrenderable {type(value).__name__}>"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import errno
 import http.client
 import http.server
 import socket
 import threading
 import time
+import types
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,7 @@ from masbus.errors import (
     UnknownArtifactError,
 )
 from masbus.terms import parse_term, payload_to_term
+from masbus.uris import parse_uri
 from conftest import CollectorComponent, wait_for
 
 
@@ -526,6 +530,34 @@ def test_tcpline_survives_random_byte_streams(stack):
     check()
 
 
+def _expected_lines(data: bytes, max_line: int) -> list[bytes]:
+    """The lines a whole stream admits: a line over ``max_line`` bytes with its
+    newline is dropped, and a last line needs no newline."""
+    *complete, last = data.split(b"\n")
+    lines = [line for line in complete if 0 < len(line) < max_line]
+    return lines + [last] if 0 < len(last) <= max_line else lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([b"a", b"b", b"\n"]), min_size=1, max_size=12).map(b"".join),
+        max_size=8,
+    )
+)
+def test_tcpline_admits_the_same_lines_however_the_bytes_arrive(chunks):
+    ctx = types.SimpleNamespace(uri=parse_uri("tcpline:127.0.0.1:0"), route_id="r")
+    consumer = tcpline.TcpLineComponent().create_consumer(ctx)
+    admitted = []
+    consumer._admit = lambda line: admitted.append(bytes(line)) or True
+    feed = consumer._connection(None, ("127.0.0.1", 1))
+    with unittest.mock.patch.object(tcpline, "MAX_LINE", 5):
+        for chunk in chunks:
+            assert feed(chunk)
+        assert not feed(b"")
+    assert admitted == _expected_lines(b"".join(chunks), 5)
+
+
 def test_tcpline_producer_connection_refused_dead_letters(stack):
     bus, _, _, _, _ = stack
     with socket.socket() as probe:
@@ -554,6 +586,53 @@ def test_tcpline_bind_conflict_fails_start(stack):
         assert not bus.is_running
     finally:
         blocker.close()
+
+
+def test_tcpline_silent_and_half_line_peers_do_not_hold_up_a_third(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+    with socket.create_connection(address, timeout=5.0), socket.create_connection(
+        address, timeout=5.0
+    ) as half:
+        half.sendall(b"hal")
+        with socket.create_connection(address, timeout=5.0) as third:
+            third.sendall(b"3\n")
+            assert wait_for(lambda: collector.exchanges(), timeout=1.0)
+        assert [ex.body for ex in collector.exchanges()] == [Number(3)]
+        half.sendall(b"f\n")
+        assert wait_for(lambda: len(collector.exchanges()) == 2)
+    assert [ex.body for ex in collector.exchanges()] == [Number(3), Atom("half")]
+
+
+def test_a_failing_accept_backs_off_and_keeps_serving(stack, monkeypatch, caplog):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "tcpline:127.0.0.1:0", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+
+    def exhausted(sock):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    with socket.create_connection(address, timeout=5.0) as open_before:
+        open_before.sendall(b"1\n")
+        assert wait_for(lambda: len(collector.exchanges()) == 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(socket.socket, "accept", exhausted)
+            # a waiting connection makes every accept fail until the patch ends
+            waiting = socket.create_connection(address, timeout=5.0)
+            time.sleep(0.15)
+            open_before.sendall(b"2\n")  # still served while accepts back off
+            assert wait_for(lambda: len(collector.exchanges()) == 2, timeout=1.0)
+            time.sleep(0.15)
+        failures = [r for r in caplog.records if "accept failed" in r.getMessage()]
+        # 5 ms doubling: about 7 tries in 0.3 s, where a retry at once made thousands
+        assert 1 <= len(failures) <= 12, len(failures)
+        with waiting, socket.create_connection(address, timeout=5.0) as later:
+            later.sendall(b"3\n")
+            assert wait_for(lambda: len(collector.exchanges()) == 3)
+    assert [ex.body for ex in collector.exchanges()] == [Number(1), Number(2), Number(3)]
 
 
 # -- httplite --------------------------------------------------------------------
@@ -755,6 +834,144 @@ def test_serve_http_survives_random_byte_streams():
         check()
     finally:
         server.close()
+
+
+def test_serve_http_silent_and_half_request_peers_do_not_hold_up_a_third():
+    received = []
+
+    def respond(method, path, text):
+        received.append(text)
+        return 200, ""
+
+    server = serve_http(("127.0.0.1", 0), respond, "patient-stub")
+    try:
+        with socket.create_connection(server.address, timeout=5.0), socket.create_connection(
+            server.address, timeout=5.0
+        ) as half:
+            half.sendall(b"POST /a HTTP/1.1\r\nContent-Length: 5\r\n\r\nab")
+            started = time.perf_counter()
+            assert _post(server.address, b"third") == 200
+            assert time.perf_counter() - started < 1.0
+            assert received == ["third"]
+            half.sendall(b"cde")
+            assert half.recv(100).startswith(b"HTTP/1.1 200 ")
+    finally:
+        server.close()
+    assert received == ["third", "abcde"]
+
+
+def _read_replies(raw: socket.socket, count: int) -> list[tuple[bytes, bytes]]:
+    """``(status line, body)`` of the next ``count`` replies on ``raw``."""
+    replies = []
+    with raw.makefile("rb") as reader:
+        for _ in range(count):
+            status = reader.readline().rstrip()
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            replies.append((status, reader.read(length)))
+    return replies
+
+
+def test_serve_http_answers_a_request_sent_one_byte_per_send():
+    server = serve_http(("127.0.0.1", 0), lambda m, p, text: (200, f"ok {text}"), "slow-stub")
+    request = b"POST /a HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n%s"
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as raw:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for body in (b"abc", b"def"):
+                for byte in request % body:
+                    raw.sendall(bytes([byte]))
+                    time.sleep(0.0005)
+            # one 100 Continue per request, however often its head was parsed
+            assert _read_replies(raw, 4) == [
+                (b"HTTP/1.1 100 Continue", b""),
+                (b"HTTP/1.1 200 OK", b"ok abc"),
+                (b"HTTP/1.1 100 Continue", b""),
+                (b"HTTP/1.1 200 OK", b"ok def"),
+            ]
+    finally:
+        server.close()
+
+
+def test_serve_http_answers_pipelined_requests_in_order():
+    server = serve_http(("127.0.0.1", 0), lambda m, path, text: (200, path + text), "pipe-stub")
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as raw:
+            raw.sendall(
+                b"POST /a HTTP/1.1\r\nContent-Length: 1\r\n\r\n1"
+                b"POST /b HTTP/1.1\r\nContent-Length: 1\r\n\r\n2"
+            )
+            assert _read_replies(raw, 2) == [
+                (b"HTTP/1.1 200 OK", b"/a1"),
+                (b"HTTP/1.1 200 OK", b"/b2"),
+            ]
+    finally:
+        server.close()
+
+
+def test_httplite_consumer_answers_400_to_a_half_received_request_at_stop(stack):
+    bus, _, _, _, collector = stack
+    bus.add_route(RouteDefinition("in", "httplite:127.0.0.1:0/hook", (), ("collect:y",)))
+    bus.start()
+    address = bus.consumer("in").address
+    with socket.create_connection(address, timeout=5.0) as raw:
+        raw.sendall(b"POST /hook HTTP/1.1\r\nContent-Length: 5\r\n\r\nab")
+        # accepts are FIFO: once a later peer that ends its side is closed,
+        # the first was accepted, and stop() reads what it sent
+        with socket.create_connection(address, timeout=5.0) as later:
+            later.shutdown(socket.SHUT_WR)
+            assert later.recv(1) == b""
+        bus.stop()
+        with raw.makefile("rb") as reader:
+            reply = reader.read()  # the bus answered, then closed
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert collector.exchanges() == []
+
+
+class _SentRecorder:
+    def __init__(self):
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.text("ab", max_size=4), st.booleans()), min_size=1, max_size=3),
+    st.data(),
+)
+def test_serve_http_answers_alike_however_the_bytes_arrive(requests, data):
+    messages = [
+        b"POST /%d HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s"
+        % (i, b"Expect: 100-continue\r\n" if expect else b"", len(body), body.encode())
+        for i, (body, expect) in enumerate(requests)
+    ]
+    stream = b"".join(messages)
+    stream = stream[: data.draw(st.integers(0, len(stream)))]  # the peer may stop anywhere
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(stream) - 1)), max_size=6))
+    server = serve_http(("127.0.0.1", 0), lambda m, path, text: (200, path + text), "feed-stub")
+    try:
+        runs = []
+        for bounds in ([0, len(stream)], sorted({0, len(stream), *cuts} - {len(stream) + 1})):
+            peer = _SentRecorder()
+            feed = server._protocol(peer, ("127.0.0.1", 1))
+            for start, end in zip(bounds, bounds[1:]):
+                assert end == start or feed(stream[start:end])
+            feed(b"")
+            runs.append(peer.sent)
+    finally:
+        server.close()
+    whole, chunked = runs
+    assert chunked == whole
+    complete = sum(len(b"".join(messages[: i + 1])) <= len(stream) for i in range(len(messages)))
+    answered = sum(reply.startswith(b"HTTP/1.1 200 ") for reply in whole)
+    # at the end of the stream a head cut short is taken as all there is, as
+    # a blocking reader takes it, and may be answered too
+    assert complete <= answered <= complete + 1
 
 
 class _ChunkedReply(http.server.BaseHTTPRequestHandler):

@@ -738,8 +738,8 @@ def test_stop_releases_listener_port_and_thread():
 @pytest.mark.parametrize(
     "uri, thread_name",
     [
-        ("tcpline:127.0.0.1:0", "tcpline-accept-conn"),
-        ("httplite:127.0.0.1:0/hook", "httplite-serve-conn"),
+        ("tcpline:127.0.0.1:0", "tcpline-accept"),
+        ("httplite:127.0.0.1:0/hook", "httplite-serve"),
     ],
     ids=["tcpline", "httplite"],
 )
@@ -751,13 +751,18 @@ def test_stop_ends_connections_of_silent_peers(uri, thread_name):
     bus.add_route(RouteDefinition("in", uri, (), ("collect:y",)))
     bus.start()
 
-    def connection_threads():
+    def listener_threads():
         return [t for t in threading.enumerate() if t.name == thread_name]
 
+    address = bus.consumer("in").address
     # a peer that connects and then neither sends nor closes
-    with socket.create_connection(bus.consumer("in").address, timeout=5.0) as peer:
-        assert wait_for(connection_threads)
+    with socket.create_connection(address, timeout=5.0) as peer:
+        # accepts are FIFO: once a later peer that ends its side is closed,
+        # the silent peer has been accepted
+        with socket.create_connection(address, timeout=5.0) as later:
+            later.shutdown(socket.SHUT_WR)
+            assert later.recv(1) == b""
         bus.stop()
-        assert wait_for(lambda: not connection_threads(), timeout=0.5)
+        assert wait_for(lambda: not listener_threads(), timeout=0.5)
         assert peer.recv(1) == b""  # the bus closed its end
     assert collector.exchanges() == []

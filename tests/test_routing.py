@@ -708,3 +708,32 @@ def test_an_exchange_failing_outside_the_chain_is_dead_lettered_as_a_route_failu
     assert entry.exchange["body"] == "3"
     assert entry.error.startswith("AttributeError")
     assert bus.report()["delivered"] == 4
+
+
+def test_a_body_that_cannot_be_rendered_is_dead_lettered_and_spares_the_route():
+    from masbus.components import register_builtin_components
+
+    bus = Bus()
+    register_builtin_components(bus)
+
+    def grow(ex):
+        if ex.body == Atom("big"):
+            ex.body = Number(10**5000)  # past the int-to-str digit limit
+
+    bus.register_transform("grow", grow)
+    bus.add_route(
+        RouteDefinition(
+            "r", "direct:x", (Transform("grow"),), ("mqttlite:out?host=h&publishTopicName=t",)
+        )
+    )
+    bus.start()
+    first, second = bus.new_exchange(body=Atom("big")), bus.new_exchange(body=Atom("m"))
+    bus.process_exchange("r", first)
+    bus.process_exchange("r", second)
+    assert bus.wait_until_idle()
+    bus.stop()
+    (entry,) = bus.dead_letters()
+    assert entry.kind == "producer"
+    assert entry.error.startswith("ValueError")
+    assert entry.exchange["id"] == first.id
+    assert [d.exchange_id for d in bus.deliveries()] == [second.id]

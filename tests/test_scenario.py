@@ -45,11 +45,27 @@ def test_simulated_run_is_quick_and_leaves_no_thread():
     report = run_scenario(cfg, simulated=True)
     assert time.perf_counter() - started < 0.2
     assert assert_report(report, cfg) == []
-    # connection threads end once their peers close, which happens stages
-    # before the run returns; the wait only absorbs scheduling delay
+    # listener threads end when the run closes them, before it returns;
+    # the wait only absorbs scheduling delay
     assert wait_for(lambda: set(threading.enumerate()) <= before, timeout=1.0), [
         t.name for t in set(threading.enumerate()) - before
     ]
+
+
+def test_a_simulated_run_starts_at_most_seven_threads(monkeypatch):
+    started = []
+    thread_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    cfg = ScenarioConfig.generate(3)
+    assert assert_report(run_scenario(cfg, simulated=True), cfg) == []
+    # two parked workers per pool, the tcpline listener and the two HTTP stubs:
+    # every connection is served on its listener's thread
+    assert len(started) <= 7, started
 
 
 def test_winner_is_minimum_quote():
