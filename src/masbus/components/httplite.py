@@ -14,8 +14,8 @@ As consumer the endpoint runs a listener: every incoming request becomes an
 exchange (headers ``HttpMethod`` and ``HttpPath``, parsed body) and is
 answered with an empty 200, or 503 once the route no longer admits
 exchanges. The listener's one thread serves every connection: a request is
-parsed again from its start as its bytes arrive until it is whole, and at
-the end of the stream what is left is parsed as all there is. Connections
+parsed again from its start as its bytes arrive until it is whole, and one
+cut short by the end of the stream is answered 400. Connections
 are kept alive between requests, pipelined requests are answered in order,
 and every answer is written in one piece. A request body is framed by ``Content-Length``
 only: a length that is not a non-negative integer, a body shorter than it
@@ -31,7 +31,6 @@ request, before its body is read. Port 0 binds a free port, exposed as ``address
 
 from __future__ import annotations
 
-import io
 import socket
 from http import HTTPStatus
 
@@ -155,12 +154,9 @@ class _Received:
         return bytes(self._data[start : self._pos])
 
 
-def _read_request(reader, send_continue) -> tuple[str, str, bool, str] | None:
-    """``(method, target, keep_alive, text)`` of the next request in
-    ``reader``, or None when the peer ended the connection before one."""
+def _read_request(reader, send_continue) -> tuple[str, str, bool, str]:
+    """``(method, target, keep_alive, text)`` of the next request in ``reader``."""
     line = _read_line(reader, 414)
-    if not line:
-        return None
     words = line.decode("iso-8859-1").split()
     if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
         raise HttpMessageError(400, f"bad request line {line[:80]!r}")
@@ -203,20 +199,21 @@ def serve_http(address: tuple[str, int], respond, name: str) -> Listener:
         def feed(data: bytes) -> bool:
             nonlocal continued
             received.extend(data)
-            # at the end of the stream a plain reader takes what is left as all there is
-            reader = _Received(received) if data else io.BytesIO(received)
+            reader = _Received(received)
             while True:
                 start = reader.tell()
                 try:
                     request = _read_request(reader, send_continue)
                 except _Incomplete:
                     del received[:start]
-                    return True
+                    if data:
+                        return True
+                    if not received:  # the stream ended between requests
+                        return False
+                    status, body, keep_alive = 400, "", False
                 except HttpMessageError as err:
                     status, body, keep_alive = err.status, "", False
                 else:
-                    if request is None:
-                        return False
                     continued = False
                     method, target, keep_alive, text = request
                     status, body = respond(method, target, text)

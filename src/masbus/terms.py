@@ -9,6 +9,7 @@ Grammar (whitespace is allowed between tokens)::
     string    = '"' { character | escape } '"'
     list      = "[" [ term { "," term } ] "]"
 
+``parse_term`` reads each token with the whitespace before it in one regex match.
 Lists and structures nest at most ``MAX_TERM_DEPTH`` levels deep.
 ``render_term`` emits the canonical minimal form (no whitespace) and
 ``parse_term(render_term(t)) == t`` holds for every term within that depth.
@@ -28,13 +29,13 @@ class Term:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return render_term(self)
+
 
 @dataclass(frozen=True, slots=True)
 class Atom(Term):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +47,10 @@ class Number(Term):
         if isinstance(self.value, float) and not math.isfinite(self.value):
             raise ValueError(f"{self.value} is not a representable number term")
 
-    def __str__(self) -> str:
-        return render_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class String(Term):
     text: str
-
-    def __str__(self) -> str:
-        return render_term(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,16 +64,10 @@ class Structure(Term):
         if not self.args:
             raise ValueError("a structure needs arguments; use Atom for a bare name")
 
-    def __str__(self) -> str:
-        return render_term(self)
-
 
 @dataclass(frozen=True, slots=True)
 class ListTerm(Term):
     items: tuple[Term, ...] = ()
-
-    def __str__(self) -> str:
-        return render_term(self)
 
 
 def structure(functor: str, args) -> Term:
@@ -89,134 +78,98 @@ def structure(functor: str, args) -> Term:
     return Structure(functor, args)
 
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
+_WS = r"[ \t\r\n]*"
+_SPACE = re.compile(_WS)
+# a string's text up to its closing quote, each escape checked
+_STRING_BODY = re.compile(r'[^"\\]*(?:\\[nrt"\\][^"\\]*)*')
+# the whitespace before a term and the term's first token: a number, an atom
+# with the "(" of its structure, a whole string, or a "[" with the whitespace
+# after it and the "]" of an empty list
+_TOKEN = re.compile(
+    _WS
+    + r"(?:(?P<number>[+-]?\d+(?P<float>(?:\.\d+)?(?:[eE][+-]?\d+)?))"
+    + rf"|(?P<atom>[a-z][A-Za-z0-9_]*)(?P<open>{_WS}\()?"
+    + rf'|"(?P<string>{_STRING_BODY.pattern})"'
+    + rf"|\[{_WS}(?P<empty>\])?)"
+)
+# the whitespace after a term and the ",", ")" or "]" that follows it, if any
+_CLOSE = re.compile(_WS + r"([,)\]]?)")
+_ESCAPED = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _REVERSE_ESCAPES = str.maketrans({"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"})
 # lists and structures nest at most this deep, so hostile input cannot
-# exhaust the stack of the parser or of later recursive rendering
+# exhaust the stack of later recursive rendering
 MAX_TERM_DEPTH = 100
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def parse(self) -> Term:
-        self.skip_ws()
-        term = self.term()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
-        return term
-
-    def term(self, depth: int = 0) -> Term:
-        if depth > MAX_TERM_DEPTH:
-            raise self.error(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
-        self.skip_ws()
-        ch = self.peek()
-        if not ch:
-            raise self.error("expected a term")
-        if ch == '"':
-            return self.string()
-        if ch == "[":
-            return self.list_term(depth)
-        if ch in "+-" or ch.isdigit():
-            return self.number()
-        if ch.islower():
-            return self.atom_or_structure(depth)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def number(self) -> Number:
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m is None:
-            raise self.error("malformed number")
-        self.pos = m.end()
-        literal = m.group(0)
-        try:
-            if m.group(1) is None and m.group(2) is None:
-                return Number(int(literal))
-            return Number(float(literal))
-        except ValueError:  # a float that overflows, or more digits than int() takes
-            raise TermSyntaxError("number out of range", m.start()) from None
-
-    def string(self) -> String:
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return String("".join(out))
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated escape")
-                esc = self.text[self.pos]
-                if esc not in _ESCAPES:
-                    raise self.error(f"unknown escape '\\{esc}'")
-                out.append(_ESCAPES[esc])
-                self.pos += 1
-            else:
-                out.append(ch)
-
-    def list_term(self, depth: int) -> ListTerm:
-        self.expect("[")
-        self.skip_ws()
-        if self.peek() == "]":
-            self.pos += 1
-            return ListTerm(())
-        items = [self.term(depth + 1)]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            items.append(self.term(depth + 1))
-            self.skip_ws()
-        self.expect("]")
-        return ListTerm(tuple(items))
-
-    def atom_or_structure(self, depth: int) -> Term:
-        m = _ATOM_RE.match(self.text, self.pos)
-        if m is None:
-            raise self.error("malformed atom")
-        self.pos = m.end()
-        name = m.group(0)
-        self.skip_ws()
-        if self.peek() != "(":
-            return Atom(name)
-        self.pos += 1
-        args = [self.term(depth + 1)]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            args.append(self.term(depth + 1))
-            self.skip_ws()
-        self.expect(")")
-        return Structure(name, tuple(args))
+def _diagnose(text: str, pos: int) -> TermSyntaxError:
+    """The error for a term at ``pos`` whose first token matches no pattern."""
+    pos = _SPACE.match(text, pos).end()
+    if pos == len(text):
+        return TermSyntaxError("expected a term", pos)
+    ch = text[pos]
+    if ch == '"':
+        end = _STRING_BODY.match(text, pos + 1).end()  # stops at a bad escape or the end
+        if end == len(text):
+            return TermSyntaxError("unterminated string", end)
+        if end + 1 == len(text):
+            return TermSyntaxError("unterminated escape", end + 1)
+        return TermSyntaxError(f"unknown escape '\\{text[end + 1]}'", end + 1)
+    if ch in "+-" or ch.isdigit():
+        return TermSyntaxError("malformed number", pos)
+    if ch.islower():
+        return TermSyntaxError("malformed atom", pos)
+    return TermSyntaxError(f"unexpected character {ch!r}", pos)
 
 
 def parse_term(text: str) -> Term:
     """Parse ``text`` into a term, raising :class:`TermSyntaxError` on bad input."""
     if not text:
         raise TermSyntaxError("empty input", 0)
-    return _Parser(text).parse()
+    open_terms = []  # (functor or None for a list, items so far) of each one still open
+    pos = 0
+    while True:
+        if len(open_terms) > MAX_TERM_DEPTH:
+            raise TermSyntaxError(f"terms nest deeper than {MAX_TERM_DEPTH} levels", pos)
+        token = _TOKEN.match(text, pos)
+        if token is None:
+            raise _diagnose(text, pos)
+        pos = token.end()
+        literal = token["number"]
+        if literal is not None:
+            try:
+                term = Number(float(literal) if token["float"] else int(literal))
+            except ValueError:  # a float that overflows, or more digits than int() takes
+                raise TermSyntaxError("number out of range", token.start("number")) from None
+        elif token["atom"] is not None:
+            if token["open"] is not None:
+                open_terms.append((token["atom"], []))
+                continue
+            term = Atom(token["atom"])
+        elif token["string"] is not None:
+            term = String(_ESCAPED.sub(lambda e: _ESCAPES[e[1]], token["string"]))
+        elif token["empty"] is not None:
+            term = ListTerm(())
+        else:
+            open_terms.append((None, []))
+            continue
+        # the term is whole: add it to the term it is in, and close each one it ends
+        while True:
+            end = _CLOSE.match(text, pos)
+            if not open_terms:
+                if end.start(1) != len(text):
+                    raise TermSyntaxError("unexpected trailing input", end.start(1))
+                return term
+            functor, items = open_terms[-1]
+            items.append(term)
+            pos = end.end()
+            if end[1] == ",":
+                break
+            closer = "]" if functor is None else ")"
+            if end[1] != closer:
+                raise TermSyntaxError(f"expected '{closer}'", end.start(1))
+            open_terms.pop()
+            term = ListTerm(tuple(items)) if functor is None else Structure(functor, tuple(items))
 
 
 def payload_to_term(payload: str) -> Term:

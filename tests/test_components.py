@@ -34,7 +34,10 @@ from masbus.components import httplite, register_builtin_components, tcpline
 from masbus.components.httplite import serve_http
 from masbus.errors import (
     ConsumerUnsupportedError,
+    MissingArtifactNameError,
+    MissingOperationNameError,
     MissingParamError,
+    ProducerUnsupportedError,
     TermSyntaxError,
     UnknownArtifactError,
 )
@@ -267,6 +270,33 @@ def test_artifact_producer_missing_names_dead_letter(stack):
     assert bus.wait_until_idle()
     (entry,) = bus.dead_letters()
     assert "OperationName" in entry.error
+
+
+@pytest.mark.parametrize(
+    "uri, error",
+    [
+        ("artifact:main", MissingArtifactNameError),
+        ("artifact:main?artifactName=c", MissingOperationNameError),
+    ],
+)
+def test_artifact_producer_without_a_name_dead_letters_a_typed_error(stack, uri, error):
+    bus, _, env, _, _ = stack
+    env.create_artifact("main", "c", counter_template())
+    bus.add_route(RouteDefinition("r", "direct:in", (), (uri,)))
+    bus.start()
+    bus.process_exchange("r", bus.new_exchange(body=Number(1)))
+    assert bus.wait_until_idle()
+    (entry,) = bus.dead_letters()
+    assert entry.kind == "producer"
+    assert entry.error.startswith(f"{error.__name__}: ")
+
+
+def test_a_consumer_only_scheme_as_producer_fails_route_start(stack):
+    bus, _, _, _, _ = stack
+    bus.add_route(RouteBuilder("r").from_("direct:in").to("timer:x?periodMs=5").build())
+    with pytest.raises(ProducerUnsupportedError):
+        bus.start()
+    assert not bus.is_running
 
 
 def test_artifact_producer_failed_op_dead_letters(stack):
@@ -969,9 +999,26 @@ def test_serve_http_answers_alike_however_the_bytes_arrive(requests, data):
     assert chunked == whole
     complete = sum(len(b"".join(messages[: i + 1])) <= len(stream) for i in range(len(messages)))
     answered = sum(reply.startswith(b"HTTP/1.1 200 ") for reply in whole)
-    # at the end of the stream a head cut short is taken as all there is, as
-    # a blocking reader takes it, and may be answered too
-    assert complete <= answered <= complete + 1
+    assert answered == complete
+
+
+def test_serve_http_answers_400_to_a_head_cut_short_by_the_end_of_the_stream():
+    calls = []
+
+    def respond(method, path, text):
+        calls.append(path)
+        return 200, ""
+
+    server = serve_http(("127.0.0.1", 0), respond, "cut-stub")
+    try:
+        peer = _SentRecorder()
+        feed = server._protocol(peer, ("127.0.0.1", 1))
+        assert feed(b"POST /1 HTTP/1.1\r\nExpect: 100-continu")
+        assert not feed(b"")
+    finally:
+        server.close()
+    assert [reply.split(b"\r\n", 1)[0] for reply in peer.sent] == [b"HTTP/1.1 400 Bad Request"]
+    assert calls == []
 
 
 class _ChunkedReply(http.server.BaseHTTPRequestHandler):

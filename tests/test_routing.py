@@ -17,6 +17,7 @@ from masbus.errors import (
     DuplicateRouteIdError,
     DuplicateSchemeError,
     RouteNotRunningError,
+    UnknownRouteError,
     UnknownSchemeError,
     UnknownTransformError,
 )
@@ -227,6 +228,21 @@ def test_process_exchange_on_stopped_route():
     bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:y",)))
     with pytest.raises(RouteNotRunningError):
         bus.process_exchange("r", bus.new_exchange(body=Atom("m")))
+
+
+def test_an_unknown_route_id_is_a_typed_error():
+    bus, _ = make_bus()
+    bus.add_route(RouteDefinition("r", "direct:x", (), ("collect:y",)))
+    bus.start()
+    try:
+        with pytest.raises(UnknownRouteError):
+            bus.process_exchange("ghost", bus.new_exchange(body=Atom("m")))
+        with pytest.raises(UnknownRouteError):
+            bus.route_definition("ghost")
+        with pytest.raises(UnknownRouteError):
+            bus.consumer("ghost")
+    finally:
+        bus.stop()
 
 
 def test_direct_hop_bridges_routes():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,25 +61,69 @@ def test_whitespace_between_tokens():
     assert parse_term(" f ( 1 , 2 ) ") == Structure("f", (Number(1), Number(2)))
 
 
+_TOO_DEEP = f"terms nest deeper than {MAX_TERM_DEPTH} levels"
+
+
+def _syntax_error(bad, pos, message, name=None):
+    # a row is named by its text and position only
+    return pytest.param(bad, pos, message, id=name or f"{bad}-{pos}")
+
+
 @pytest.mark.parametrize(
-    "bad, pos",
+    "bad, pos, message",
     [
-        ("", 0),
-        ("(", 0),
-        ("f(", 2),
-        ("f(a", 3),
-        ("[a,", 3),
-        ('"abc', 4),
-        ("Upper", 0),
-        ("1 2", 2),
-        pytest.param("[" * 5000, 101, id="deep-list"),
-        pytest.param("f(" * 5000, 202, id="deep-structure"),
+        _syntax_error("", 0, "empty input"),
+        _syntax_error("(", 0, "unexpected character '('"),
+        _syntax_error("f(", 2, "expected a term"),
+        _syntax_error("f(a", 3, "expected ')'"),
+        _syntax_error("[a,", 3, "expected a term"),
+        _syntax_error('"abc', 4, "unterminated string"),
+        _syntax_error("Upper", 0, "unexpected character 'U'"),
+        _syntax_error("1 2", 2, "unexpected trailing input"),
+        _syntax_error("[" * 5000, 101, _TOO_DEEP, name="deep-list"),
+        _syntax_error("f(" * 5000, 202, _TOO_DEEP, name="deep-structure"),
+        _syntax_error('"a\\qb"', 3, "unknown escape '\\q'"),
+        _syntax_error('"ab\\', 4, "unterminated escape"),
+        _syntax_error("+x", 0, "malformed number"),
+        _syntax_error("f(a b)", 4, "expected ')'"),
+        _syntax_error("[1 2]", 3, "expected ']'"),
+        _syntax_error("  ]", 2, "unexpected character ']'"),
+        _syntax_error("f(1,)", 4, "unexpected character ')'"),
+        _syntax_error("é", 0, "malformed atom"),
+        _syntax_error("Ä", 0, "unexpected character 'Ä'"),
+        _syntax_error("1e999", 0, "number out of range"),
+        _syntax_error("[1,2", 4, "expected ']'"),
+        _syntax_error(" f ( ", 5, "expected a term"),
+        _syntax_error('"a" x', 4, "unexpected trailing input"),
+        _syntax_error("f()", 2, "unexpected character ')'"),
     ],
 )
-def test_syntax_errors_carry_position(bad, pos):
+def test_syntax_errors_carry_position(bad, pos, message):
     with pytest.raises(TermSyntaxError) as err:
         parse_term(bad)
     assert err.value.position == pos
+    assert str(err.value).startswith(message)
+
+
+def test_a_waypoint_parses_in_six_python_calls():
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    # no collection runs, so no gc callback (hypothesis installs one) is counted
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(hook)
+    try:
+        parse_term("[12.345678,-45.678901]")
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    # each token is one regex match, a C call; the rest are the term constructors
+    assert calls == ["parse_term", *["__init__", "__post_init__"] * 2, "__init__"]
 
 
 def test_nesting_limit_keeps_hostile_payloads_as_text():
@@ -130,6 +176,8 @@ _TERM_TEXT = st.one_of(st.text(), st.text(alphabet="()[],.'\"\\ _aZ09-+eE\n\t"))
 @given(_TERM_TEXT)
 def test_parse_term_raises_only_term_syntax_error(text):
     try:
-        parse_term(text)
-    except TermSyntaxError:
-        pass
+        term = parse_term(text)
+    except TermSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert parse_term(render_term(term)) == term
